@@ -7,9 +7,9 @@ embeds this fingerprint under a ``"host"`` key; the regression watchdog
 (:mod:`repro.obs.regress`) reads ``host.cpu_count`` to decide whether a
 host-sensitive tolerance gate applies or must be skipped.
 
-``repro_env`` captures the ``REPRO_*`` environment knobs (pool mode, float32
-compute, cache dir overrides...) active during the run — the usual suspects
-when two runs of the same code disagree.
+``repro_env`` captures the ``REPRO_*`` environment knobs (worker count,
+float32 compute, cache dir overrides...) active during the run — the usual
+suspects when two runs of the same code disagree.
 """
 
 from __future__ import annotations

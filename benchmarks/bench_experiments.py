@@ -13,18 +13,20 @@ knob.  Two regimes are interpretable from the recorded ``cpu_count``:
 
 * **≥ 2 cores** — the pool path engages; ``speedup_cold`` is the warm-pool
   sharding win (target ≥ 1.3x at ``--workers 2``).
-* **1 core** — adaptive dispatch keeps every call serial, so the "parallel"
-  run measures pure dispatch overhead; ``overhead_vs_serial`` should be
-  ≤ 1.02 (within 2% of the serial loop).
+* **1 core** — dispatch keeps every call serial, so the "parallel" run
+  measures pure dispatch overhead; ``overhead_vs_serial`` should be ≤ 1.02
+  (within 2% of the serial loop).
 
 ``--strict`` turns those expectations into hard failures for the machine's
-regime (CI gates cold speedup ≥ 1.0 and fallback overhead ≤ 2%); without it
-the numbers are report-only.
+regime (CI gates cold speedup ≥ 1.0 and fallback overhead ≤ 2%); on ≥ 2
+cores it also fails when the parallel cold run never dispatched to the pool,
+so a silent fallback to serial cannot pass.  Without it the numbers are
+report-only.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_experiments.py \\
-        [--profile fast] [--workers 2] [--strict] [--pool persistent] \\
+        [--profile fast] [--workers 2] [--strict] \\
         [--experiments table1 table3 ...]
 """
 
@@ -46,7 +48,7 @@ from repro.experiments import get_profile  # noqa: E402
 from repro.experiments.cache import clear_memo  # noqa: E402
 from repro.experiments.runner import EXPERIMENTS, run_all  # noqa: E402
 from repro.obs import METRICS  # noqa: E402
-from repro.parallel import shm, warmpool  # noqa: E402
+from repro.parallel import warmpool  # noqa: E402
 
 from benchmarks._host import host_fingerprint  # noqa: E402
 
@@ -54,7 +56,7 @@ from benchmarks._host import host_fingerprint  # noqa: E402
 #: internal pmap grids, so both sharding levels get exercised.
 DEFAULT_EXPERIMENTS = ("table1", "motivation", "table3", "tableS1")
 
-DISPATCH_PATHS = ("serial", "pool_warm", "pool_fresh")
+DISPATCH_PATHS = ("serial", "pool")
 
 
 def _dispatch_counts() -> dict[str, float]:
@@ -83,14 +85,11 @@ def main() -> None:
         "--workers", type=int, default=2, help="parallel worker count to compare"
     )
     parser.add_argument(
-        "--pool", default=None, choices=warmpool.POOL_MODES,
-        help="pool strategy for the parallel runs (default: $REPRO_POOL/persistent)",
-    )
-    parser.add_argument(
         "--strict", action="store_true",
         help="fail unless this machine's regime meets its targets: "
-        "cold speedup >= --min-cold-speedup on >=2 cores, "
-        "overhead <= --max-overhead under the 1-core serial fallback",
+        "cold speedup >= --min-cold-speedup and at least one pool dispatch "
+        "on >=2 cores, overhead <= --max-overhead under the 1-core serial "
+        "fallback",
     )
     parser.add_argument(
         "--min-cold-speedup", type=float, default=1.0,
@@ -111,8 +110,6 @@ def main() -> None:
     unknown = [n for n in args.experiments if n not in EXPERIMENTS]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; known: {list(EXPERIMENTS)}")
-    if args.pool is not None:
-        os.environ["REPRO_POOL"] = args.pool
 
     profile = get_profile(args.profile)
     timings: dict[str, float] = {}
@@ -142,7 +139,6 @@ def main() -> None:
         # The timed runs are done; drop the warm pool before the temp cache
         # directory (its workers' cwd-independent state) goes away.
         warmpool.shutdown()
-        shm.release_all()
 
     identical = tables["serial_cold_s"] == tables["parallel_cold_s"]
     cpu_count = os.cpu_count() or 1
@@ -153,7 +149,6 @@ def main() -> None:
         "workers": args.workers,
         "cpu_count": cpu_count,
         "host": host_fingerprint(),
-        "pool_mode": os.environ.get("REPRO_POOL", "persistent"),
         "experiments": list(args.experiments),
         "timings_s": {k: round(v, 3) for k, v in timings.items()},
         "speedup_cold": round(timings["serial_cold_s"] / timings["parallel_cold_s"], 2),
@@ -169,20 +164,24 @@ def main() -> None:
         f"cold speedup {payload['speedup_cold']}x, "
         f"warm speedup {payload['speedup_warm']}x "
         f"({cpu_count} CPUs"
-        f"{', adaptive serial fallback' if serial_fallback else ''}); wrote {out}"
+        f"{', serial fallback' if serial_fallback else ''}); wrote {out}"
     )
     assert identical, "parallel run rendered different tables than serial"
 
     if args.strict:
         if serial_fallback:
             assert overhead <= args.max_overhead, (
-                f"1-core adaptive fallback cost {overhead:.3f}x vs serial "
+                f"1-core serial fallback cost {overhead:.3f}x vs serial "
                 f"(ceiling {args.max_overhead}x): dispatch overhead regressed"
             )
-            assert dispatches["parallel_cold_s"].get("pool_warm", 0) == 0, (
-                "1-core run dispatched to a pool; adaptive fallback is broken"
+            assert dispatches["parallel_cold_s"]["pool"] == 0, (
+                "1-core run dispatched to a pool; serial fallback is broken"
             )
         else:
+            assert dispatches["parallel_cold_s"]["pool"] > 0, (
+                f"parallel cold run made no pool dispatch on a {cpu_count}-core "
+                f"machine: every call fell back to serial"
+            )
             assert payload["speedup_cold"] >= args.min_cold_speedup, (
                 f"cold speedup {payload['speedup_cold']}x under the "
                 f"{args.min_cold_speedup}x floor on a {cpu_count}-core machine"

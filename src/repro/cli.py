@@ -9,12 +9,11 @@ Trained models are cached under ``$REPRO_CACHE_DIR`` (default
 Parallelism: ``--workers N`` (or ``$REPRO_WORKERS``) shards the experiment
 list — and each experiment's internal grids, when it is the outermost
 parallel level — across N worker processes drawn from one persistent warm
-pool (``--pool`` / ``$REPRO_POOL`` selects ``persistent``/``fresh``/
-``serial``).  Dispatch is adaptive: runs that cannot win a pool (one CPU,
-tiny grids) stay serial, and the run summary's ``[parallel]`` line says
-which path every call took.  Workers share the artifact cache under
-single-flight claims, so nothing trains twice; rendered tables are
-byte-identical to a ``--workers 1`` run.
+pool.  Calls that cannot use a pool (one CPU, one item) stay serial, and
+the run summary's ``[parallel]`` line counts both paths and why each serial
+fallback happened.  Workers share the artifact cache under single-flight
+claims, so nothing trains twice; rendered tables are byte-identical to a
+``--workers 1`` run.
 
 Observability flags:
 
@@ -47,14 +46,7 @@ from .experiments import EXPERIMENTS, get_profile
 from .experiments.cache import cache_summary
 from .experiments.runner import run_one
 
-__all__ = [
-    "main",
-    "serve_main",
-    "add_workers_flag",
-    "apply_workers",
-    "add_pool_flag",
-    "apply_pool",
-]
+__all__ = ["main", "serve_main", "add_workers_flag", "apply_workers"]
 
 
 def add_workers_flag(parser: argparse.ArgumentParser) -> None:
@@ -80,27 +72,6 @@ def apply_workers(workers: int | None) -> int | None:
             raise SystemExit(f"--workers must be >= 1, got {workers}")
         os.environ["REPRO_WORKERS"] = str(workers)
     return workers
-
-
-def add_pool_flag(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--pool`` option: worker-pool strategy for the run."""
-    from .parallel.warmpool import POOL_MODES
-
-    parser.add_argument(
-        "--pool",
-        default=None,
-        choices=POOL_MODES,
-        help="worker-pool strategy: persistent = one warm pool reused across "
-        "every parallel stage (default), fresh = a new pool per stage, "
-        "serial = force the in-process loop (default: $REPRO_POOL)",
-    )
-
-
-def apply_pool(mode: str | None) -> str | None:
-    """Export ``--pool`` as ``REPRO_POOL`` so it governs the process tree."""
-    if mode is not None:
-        os.environ["REPRO_POOL"] = mode
-    return mode
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -150,11 +121,9 @@ def main(argv: list[str] | None = None) -> int:
         help="print the metrics snapshot after the experiments finish",
     )
     add_workers_flag(parser)
-    add_pool_flag(parser)
     args = parser.parse_args(argv)
     profile = get_profile(args.profile)
     workers = apply_workers(args.workers)
-    apply_pool(args.pool)
 
     unknown = [n for n in args.experiments if n not in EXPERIMENTS]
     if unknown:

@@ -15,7 +15,9 @@ Writes are **atomic**: artifacts are written to a temp file in the cache
 directory and moved into place with ``os.replace``, so an interrupted run can
 never leave a truncated entry that would silently fall back to recompute (or,
 worse, half-parse).  Loads report hit/miss counts to the global metrics
-registry (``cache.artifact.{hit,miss}`` labeled by artifact kind).
+registry (``cache.artifact.{hit,miss}`` labeled by artifact kind); an entry
+that exists but cannot be read is a miss that also counts
+``cache.artifact.corrupt``, so a recompute it forces is never silent.
 
 Concurrency (the parallel runner, ``repro.parallel``) adds two layers:
 
@@ -38,6 +40,7 @@ import json
 import os
 import tempfile
 import threading
+import zipfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Callable
@@ -177,6 +180,12 @@ def save_state(key: str, state: dict[str, np.ndarray]) -> Path:
     return result
 
 
+def _corrupt(kind: str) -> None:
+    """An artifact exists but cannot be read: a miss, counted as corrupt."""
+    METRICS.inc("cache.artifact.miss", kind=kind)
+    METRICS.inc("cache.artifact.corrupt", kind=kind)
+
+
 def load_state(key: str) -> dict[str, np.ndarray] | None:
     """Load a cached state dict, or None when absent/corrupt.
 
@@ -194,8 +203,8 @@ def load_state(key: str) -> dict[str, np.ndarray] | None:
     try:
         with np.load(path) as data:
             state = {name: data[name] for name in data.files}
-    except (OSError, ValueError, KeyError):
-        METRICS.inc("cache.artifact.miss", kind="state")
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        _corrupt("state")
         return None
     METRICS.inc("cache.artifact.hit", kind="state")
     frozen = _frozen_state(state)
@@ -207,7 +216,7 @@ def load_json(key: str) -> dict | None:
     """Load a cached JSON entry, or None when absent/corrupt.
 
     Mirrors :func:`load_state`'s tolerance: unreadable or unparseable files
-    (and non-object payloads) behave exactly like cache misses.
+    (and non-object payloads) behave like cache misses, counted as corrupt.
     """
     memo = _memo_get("json", key)
     if memo is not None:
@@ -219,10 +228,10 @@ def load_json(key: str) -> dict | None:
     try:
         with open(path) as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):  # includes JSON and UTF-8 decode errors
         data = None
     if not isinstance(data, dict):
-        METRICS.inc("cache.artifact.miss", kind="json")
+        _corrupt("json")
         return None
     METRICS.inc("cache.artifact.hit", kind="json")
     _memo_put("json", key, copy.deepcopy(data))
@@ -298,17 +307,21 @@ def cache_summary() -> str:
     """Per-run cache + parallel-dispatch report (two lines) for run summaries.
 
     Reads the global metrics registry, so in a parallel run it reflects the
-    merged counts from every worker process.  The ``[parallel]`` line says
-    how every ``pmap`` call dispatched — and, when calls stayed serial, why
-    (see ``parallel.dispatch.serial{reason=}`` in the metrics snapshot) —
-    plus what the shared-memory broadcast path carried.
+    merged counts from every worker process.  The ``[cache]`` line counts
+    corrupt artifacts among the misses; the ``[parallel]`` line says how
+    every ``pmap`` call dispatched and, for each serial fallback reason that
+    occurred, how often (``parallel.dispatch.serial{reason=}``).
     """
     parts = []
     for kind in ("state", "json"):
         hits = METRICS.counter("cache.artifact.hit", kind=kind)
         misses = METRICS.counter("cache.artifact.miss", kind=kind)
         memo_hits = METRICS.counter("cache.memo.hit", kind=kind)
-        parts.append(f"{kind} {hits:g}/{misses:g} hit/miss (+{memo_hits:g} memo)")
+        corrupt = METRICS.counter("cache.artifact.corrupt", kind=kind)
+        parts.append(
+            f"{kind} {hits:g}/{misses:g} hit/miss "
+            f"(+{memo_hits:g} memo, {corrupt:g} corrupt)"
+        )
     def lock_count(event: str) -> float:
         return sum(
             METRICS.counter(f"cache.lock.{event}", kind=kind)
@@ -320,14 +333,17 @@ def cache_summary() -> str:
         for event in ("acquired", "contended", "stale_takeover")
     )
     dispatch = " ".join(
-        f"{path.removeprefix('pool_')}="
-        f"{METRICS.counter('parallel.dispatch', path=path):g}"
-        for path in ("serial", "pool_warm", "pool_fresh")
+        f"{path}={METRICS.counter('parallel.dispatch', path=path):g}"
+        for path in ("serial", "pool")
     )
-    shm_bytes = METRICS.counter("parallel.shm.broadcast_bytes")
-    shm_tasks = METRICS.counter("parallel.shm.tasks")
+    prefix = "parallel.dispatch.serial{reason="
+    reasons = " ".join(
+        f"{key[len(prefix):-1]}×{count:g}"
+        for key, count in METRICS.snapshot()["counters"].items()
+        if key.startswith(prefix) and count
+    )
     return (
         f"[cache] {' · '.join(parts)} · locks {locks}\n"
-        f"[parallel] dispatch {dispatch} · "
-        f"shm {shm_bytes:g} B broadcast across {shm_tasks:g} tasks"
+        f"[parallel] dispatch {dispatch}"
+        + (f" (serial reasons: {reasons})" if reasons else "")
     )

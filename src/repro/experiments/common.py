@@ -254,8 +254,8 @@ def run_sparsified_scheme(
     Grid points are independent train-or-load jobs, sharded across worker
     processes by :func:`repro.parallel.pmap`; ``workers=1`` (or unset without
     ``$REPRO_WORKERS``) runs them serially in-process.  The shared dataset
-    and baseline plan bind into the callable — broadcast to workers once —
-    and each task ships one heavy training run, so ``chunksize=1``.
+    and baseline plan bind into the callable, which ships with each task,
+    one training run per grid point.
     """
     dataset = dataset or dataset_for(network, profile)
     base_model, base_acc = train_baseline(
@@ -282,7 +282,6 @@ def run_sparsified_scheme(
         points,
         workers=workers,
         label=f"lam_grid.{scheme}",
-        chunksize=1,
     )
 
     admissible = [c for c in candidates if c[2] >= base_acc - profile.accuracy_tolerance]

@@ -7,11 +7,11 @@ full run breaks down into experiment → layer → drain phases.
 :func:`repro.parallel.pmap` (``workers`` argument or ``$REPRO_WORKERS``);
 inside a worker, an experiment's own grids run serially — whichever level is
 parallelized first owns the process pool.  Pool-path calls here and in every
-table loop reuse one persistent warm worker pool (``REPRO_POOL`` selects
-``persistent``/``fresh``/``serial``), so only the first parallel stage of a
-run pays pool startup.  Workers share the artifact cache under single-flight
-claims and ship their spans/metrics back to the parent, so a parallel report
-is byte-identical to a serial one and its trace is complete.
+table loop reuse one persistent warm worker pool, respawned only when a
+call's effective worker count or the ``REPRO_*`` environment changes.
+Workers share the artifact cache under single-flight claims and ship their
+spans/metrics back to the parent, so a parallel report is byte-identical to
+a serial one and its trace is complete.
 """
 
 from __future__ import annotations
@@ -130,6 +130,5 @@ def run_all(
         names,
         workers=workers,
         label="experiments",
-        chunksize=1,  # experiments are wildly uneven; never batch two per task
     )
     return dict(zip(names, tables))

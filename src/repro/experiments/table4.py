@@ -113,7 +113,6 @@ def run_table4(
         networks,
         workers=workers,
         label="table4.networks",
-        chunksize=1,  # whole-network jobs: heavy and uneven, balance beats batching
     )
     return [row for rows in per_network for row in rows]
 

@@ -81,7 +81,6 @@ def run_table5(
         core_counts,
         workers=workers,
         label="table5.cores",
-        chunksize=1,  # per-core-count jobs: heavy and uneven, balance beats batching
     )
 
 

@@ -81,7 +81,6 @@ def run_table6(
         core_counts,
         workers=workers,
         label="table6.cores",
-        chunksize=1,  # per-core-count jobs: heavy and uneven, balance beats batching
     )
     return dict(zip(core_counts, per_cores))
 

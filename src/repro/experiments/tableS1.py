@@ -187,8 +187,6 @@ def run_tableS1(
                 latency_configs,
                 workers=workers,
                 label="tableS1.latency",
-                chunksize=1,  # one cluster build per task; both stages reuse
-                # the same warm pool, so the second stage pays no startup
             ),
         )
     )
@@ -210,7 +208,6 @@ def run_tableS1(
         configs,
         workers=workers,
         label="tableS1.sweep",
-        chunksize=1,
     )
     rows = [row for rows_ in per_config for row in rows_]
 

@@ -246,7 +246,6 @@ def run_table_mcm(
                 latency_configs,
                 workers=workers,
                 label="tableMCM.latency",
-                chunksize=1,
             ),
         )
     )
@@ -267,7 +266,6 @@ def run_table_mcm(
         configs,
         workers=workers,
         label="tableMCM.sweep",
-        chunksize=1,
     )
     rows = [row for rows_ in per_config for row in rows_]
 

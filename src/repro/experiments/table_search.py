@@ -102,7 +102,6 @@ def run_table_search(
         networks,
         workers=workers,
         label="tableSearch.degree",
-        chunksize=1,
     )
     stage_configs = [
         (name, chips, scheme)
@@ -115,7 +114,6 @@ def run_table_search(
         stage_configs,
         workers=workers,
         label="tableSearch.stage",
-        chunksize=1,
     )
     return list(degree_rows), list(stage_rows)
 

@@ -19,7 +19,7 @@ input order** — counters add, histogram extrema combine, span ids are
 remapped and root spans re-parent under the dispatching ``pmap`` span,
 serve time-series append in collection order, NoC profiles accumulate per
 mesh shape — so a parallel run's trace and metrics are byte-identical to
-the serial run's for deterministic workloads, regardless of chunking.
+the serial run's for deterministic workloads.
 """
 
 from __future__ import annotations

@@ -11,13 +11,10 @@ a map across worker processes while keeping four invariants:
   deterministic computations merely executed elsewhere.
 * **No nested pools** — a ``pmap`` reached inside a worker process runs
   serially, so parallelizing an outer loop never fork-bombs the inner ones.
-* **Pay startup once** — pool-path calls share one **persistent warm pool**
-  (:mod:`repro.parallel.warmpool`; ``REPRO_POOL=persistent|fresh|serial``),
-  large callables broadcast to workers through **shared memory**
-  (:mod:`repro.parallel.shm`) instead of re-pickling per task, and items ship
-  in chunks.  A single **adaptive dispatch** policy keeps calls serial when a
-  pool cannot win — too few CPUs, too few items, payloads that dwarf task
-  compute — recorded as ``parallel.dispatch{path=}``.
+* **Pay startup once** — a call either runs serially or submits one task
+  per item to one **persistent warm pool** (:mod:`repro.parallel.warmpool`).
+  The serial fallbacks (one CPU, one item, an unpicklable callable) are
+  recorded as ``parallel.dispatch{path=}`` with a reason.
 * **Complete observability** — workers ship their span trees, metric deltas,
   and NoC-profile accumulators back to the parent, which merges them into the
   global collector/registry (see :mod:`repro.obs`), so ``--trace`` /
@@ -28,7 +25,7 @@ Concurrent workers share the ``.repro_cache`` artifact directory; the
 key trained by exactly one process (see ``repro.experiments.cache``).
 """
 
-from . import shm, warmpool
+from . import warmpool
 from .pool import default_workers, in_worker, pmap, resolve_workers
 from .singleflight import run_single_flight
 
@@ -38,6 +35,5 @@ __all__ = [
     "default_workers",
     "in_worker",
     "run_single_flight",
-    "shm",
     "warmpool",
 ]

@@ -1,4 +1,4 @@
-"""Adaptive ``pmap``: one dispatch policy, chunked submission, warm pools.
+"""``pmap``: run a map serially, or one task per item on the warm pool.
 
 Worker-count resolution order: explicit ``workers=`` argument, then the
 ``REPRO_WORKERS`` environment variable, then 1 (serial).  Inside a worker
@@ -13,37 +13,24 @@ recorded reason):
 reason          condition
 ==============  ========================================================
 ``nested``      already inside a worker process (no metric recorded)
-``forced``      ``REPRO_POOL=serial``
+``single_item`` at most one item (nothing to shard)
 ``cpu_clamp``   requested workers exceed ``os.cpu_count()`` and the
-                clamp leaves ≤ 1 (parallelism would oversubscribe)
-``single_item`` one task (nothing to shard)
+                clamp leaves 1 (parallelism would oversubscribe)
 ``workers``     effective worker count resolves to 1
-``few_items``   fewer items than ``REPRO_PARALLEL_MIN_ITEMS`` (default 2)
 ``unpicklable`` the callable or first item cannot be pickled
-``payload``     estimated per-task transfer bytes exceed
-                ``REPRO_PARALLEL_MAX_TASK_BYTES`` (default 4 MiB) — IPC
-                would dwarf the task's compute
 ==============  ========================================================
 
-Otherwise the call dispatches to a pool — the **warm** persistent executor
-(:mod:`repro.parallel.warmpool`, default) or a **fresh** per-call pool
-(``REPRO_POOL=fresh``) — and the decision lands in
-``parallel.dispatch{path=serial|pool_warm|pool_fresh}``.
+Otherwise every item becomes one task on the persistent warm pool
+(:mod:`repro.parallel.warmpool`), sized at the call's effective worker
+count.  Either way the decision lands in
+``parallel.dispatch{path=serial|pool}``, and a serial decision also in
+``parallel.dispatch.serial{reason=}``.
 
-Transfer costs are paid once, not per task: items are submitted in
-**chunks** (explicit ``chunksize`` argument, ``REPRO_PARALLEL_CHUNKSIZE``,
-or ``len(items) // (workers * 4)``), so the callable pickles once per chunk
-— and when its pickle is large (a ``partial`` closing over a dataset or
-trained state) it is broadcast through shared memory instead
-(:mod:`repro.parallel.shm`) and every chunk carries a ~100-byte reference.
-In-flight chunks are windowed to the effective worker count, so a large
-warm pool never runs a 2-worker call 8 wide.
-
-Each task still runs through :func:`_run_task`, which isolates the child's
+Each task runs through :func:`_run_task`, which isolates the child's
 observability state and returns ``(result, obs_payload)``; the parent folds
 every payload back into the process-global collector/registry **in input
 order**, so merged metrics and traces are byte-identical to a serial run's
-for deterministic workloads, regardless of chunking.
+for deterministic workloads.
 """
 
 from __future__ import annotations
@@ -51,9 +38,6 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, TypeVar
 
 from ..obs import (
@@ -68,7 +52,7 @@ from ..obs import (
     timeseries_enabled,
     tracing_enabled,
 )
-from . import shm, warmpool
+from . import warmpool
 
 __all__ = ["pmap", "resolve_workers", "default_workers", "in_worker"]
 
@@ -77,13 +61,6 @@ R = TypeVar("R")
 
 #: Set in every worker process; its presence forces nested pmaps serial.
 _WORKER_ENV = "REPRO_IN_WORKER"
-
-#: Below this many items a pool is never worth its dispatch overhead.
-DEFAULT_MIN_ITEMS = 2
-#: Estimated per-task transfer bytes beyond which IPC dwarfs task compute.
-DEFAULT_MAX_TASK_BYTES = 4 * 1024 * 1024
-#: Auto chunking targets this many chunks per effective worker.
-CHUNKS_PER_WORKER = 4
 
 
 def in_worker() -> bool:
@@ -105,9 +82,9 @@ def resolve_workers(workers: int | None) -> int:
 
     Always 1 inside a worker process — an outer pmap owns the pool.  The
     result is clamped to ``os.cpu_count()``: oversubscribing cores is a net
-    slowdown for these CPU-bound tasks (BENCH_experiments.json measured 2
-    workers on a 1-CPU box 12% *slower* than serial), so asking for more
-    warns and runs with one worker per core instead.
+    slowdown for these CPU-bound tasks (2 workers on a 1-CPU box measured
+    12% *slower* than serial), so asking for more warns and runs with one
+    worker per core instead.
     """
     if in_worker():
         return 1
@@ -122,13 +99,6 @@ def resolve_workers(workers: int | None) -> int:
         )
         return cpus
     return requested
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, ""))
-    except ValueError:
-        return default
 
 
 def _run_task(
@@ -147,16 +117,8 @@ def _run_task(
     return result, end_capture(collector)
 
 
-def _run_chunk(payload: tuple) -> list[tuple[Any, dict]]:
-    """Child-side chunk runner: the callable arrives pickled once per chunk
-    (or as a shared-memory reference materialized on unpickle) and is applied
-    to every item, each with per-task obs isolation."""
-    fn, items, tracing, profiling, ts_config = payload
-    return [_run_task((fn, item, tracing, profiling, ts_config)) for item in items]
-
-
 def _serial(
-    fn: Callable[[T], R], items: list[T], reason: str, record: bool
+    fn: Callable[[T], R], items: list[T], reason: str, record: bool = True
 ) -> list[R]:
     if record:
         METRICS.inc("parallel.dispatch", path="serial")
@@ -164,135 +126,68 @@ def _serial(
     return [fn(item) for item in items]
 
 
-def _auto_chunksize(n_items: int, workers: int) -> int:
-    override = _env_int("REPRO_PARALLEL_CHUNKSIZE", 0)
-    if override > 0:
-        return override
-    return max(1, n_items // (workers * CHUNKS_PER_WORKER))
-
-
 def pmap(
     fn: Callable[[T], R],
     items: Iterable[T],
     workers: int | None = None,
     label: str | None = None,
-    chunksize: int | None = None,
 ) -> list[R]:
-    """Map ``fn`` over ``items``, sharded across worker processes.
+    """Map ``fn`` over ``items``, one task per item across worker processes.
 
     Results come back in input order.  ``fn`` and every item must be
     picklable (module-level functions, ``functools.partial`` of them, plain
     dataclasses) — an unpicklable callable falls back to the serial loop.
     With an effective worker count of 1 — the default — this is exactly
-    ``[fn(item) for item in items]`` in the calling process.
-
-    ``chunksize`` batches consecutive items into one submission (pass 1 for
-    heavy heterogeneous tasks like training runs; leave unset for the
-    load-balancing default).  Large callables are broadcast to workers once
-    through shared memory; see the module docstring for the full dispatch
-    decision table.
+    ``[fn(item) for item in items]`` in the calling process.  See the module
+    docstring for the full dispatch decision table.
 
     A task that raises propagates its exception to the caller; observability
-    payloads of chunks completed before the failure are still merged.
+    payloads of tasks earlier in input order are still merged.
     """
     items = list(items)
-    record = not in_worker()
     if in_worker():
         return _serial(fn, items, "nested", record=False)
-    if warmpool.pool_mode() == "serial":
-        return _serial(fn, items, "forced", record)
+    if len(items) <= 1:
+        return _serial(fn, items, "single_item")
 
     requested = max(1, int(workers)) if workers is not None else default_workers()
-    n = min(resolve_workers(workers), max(1, len(items)))
-    if n <= 1:
-        if requested > (os.cpu_count() or 1):
-            return _serial(fn, items, "cpu_clamp", record)
-        if len(items) <= 1:
-            return _serial(fn, items, "single_item", record)
-        return _serial(fn, items, "workers", record)
-    if len(items) < max(2, _env_int("REPRO_PARALLEL_MIN_ITEMS", DEFAULT_MIN_ITEMS)):
-        return _serial(fn, items, "few_items", record)
-
+    n = min(resolve_workers(workers), len(items))
+    if n <= 1:  # with two or more items, only the CPU clamp can undercut a request
+        return _serial(fn, items, "cpu_clamp" if requested > 1 else "workers")
     try:
-        fn_blob = pickle.dumps(fn, protocol=pickle.HIGHEST_PROTOCOL)
-        item_blob = pickle.dumps(items[0], protocol=pickle.HIGHEST_PROTOCOL)
+        pickle.dumps((fn, items[0]), protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
-        return _serial(fn, items, "unpicklable", record)
+        return _serial(fn, items, "unpicklable")
 
-    if chunksize is None:
-        chunksize = _auto_chunksize(len(items), n)
-    chunksize = max(1, chunksize)
-
-    # Estimated bytes IPC moves per task: one item, plus the callable's
-    # amortized share of its chunk — unless shared memory carries it.
-    broadcast = shm.available() and len(fn_blob) >= shm.min_bytes()
-    per_task = len(item_blob) + (0 if broadcast else len(fn_blob) // chunksize)
-    if per_task > _env_int("REPRO_PARALLEL_MAX_TASK_BYTES", DEFAULT_MAX_TASK_BYTES):
-        return _serial(fn, items, "payload", record)
-
-    fn_payload: Any = fn
-    if broadcast:
-        fn_payload = shm.share_blob(fn_blob)
-        METRICS.inc("parallel.shm.tasks", len(items))
-
-    path = "pool_warm" if warmpool.pool_mode() == "persistent" else "pool_fresh"
-    METRICS.inc("parallel.dispatch", path=path)
+    METRICS.inc("parallel.dispatch", path="pool")
     name = label or getattr(fn, "__name__", None) or type(fn).__name__
     METRICS.inc("parallel.pmap.pools", pool=name)
     METRICS.inc("parallel.pmap.tasks", len(items), pool=name)
-    chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
-    METRICS.inc("parallel.pmap.chunks", len(chunks), pool=name)
     tracing = tracing_enabled()
     profiling = noc_profiling_enabled()
     ts_config = timeseries_config() if timeseries_enabled() else None
 
-    with span("pmap", pool=name, workers=n, tasks=len(items), path=path):
+    with span("pmap", pool=name, workers=n, tasks=len(items)):
         parent_span_id = get_collector().current_span_id() if tracing else None
-        if path == "pool_warm":
-            executor = warmpool.get_executor(n)
-        else:
-            executor = ProcessPoolExecutor(
-                max_workers=n,
-                mp_context=get_context(warmpool._start_method()),
-                initializer=warmpool._worker_init,
-            )
+        executor = warmpool.get_executor(n)
+        futures = []
         results: list[R] = []
-        chunk_iter = iter(chunks)
-        pending: deque = deque()
-
-        def top_up() -> None:
-            # Window in-flight submissions to the effective worker count so
-            # a warm pool sized for a bigger earlier call can't over-run
-            # this one's budget.
-            while len(pending) < n:
-                chunk = next(chunk_iter, None)
-                if chunk is None:
-                    return
-                pending.append(
+        try:
+            for item in items:
+                futures.append(
                     executor.submit(
-                        _run_chunk, (fn_payload, chunk, tracing, profiling, ts_config)
+                        _run_task, (fn, item, tracing, profiling, ts_config)
                     )
                 )
-
-        try:
-            top_up()
-            while pending:
-                future = pending.popleft()
-                chunk_out = future.result()
-                top_up()  # keep workers fed while the parent merges
-                for result, obs_payload in chunk_out:
-                    merge_payload(obs_payload, parent_span_id)
-                    results.append(result)
+            for future in futures:
+                result, obs_payload = future.result()
+                merge_payload(obs_payload, parent_span_id)
+                results.append(result)
         except BaseException:
             METRICS.inc("parallel.pmap.failed", pool=name)
-            for future in pending:
+            for future in futures:
                 future.cancel()
-            if path == "pool_warm":
-                if getattr(executor, "_broken", False):
-                    warmpool.discard()
-            else:
-                executor.shutdown(wait=True, cancel_futures=True)
+            if getattr(executor, "_broken", False):
+                warmpool.shutdown(wait=False)  # drop it without joining
             raise
-        if path == "pool_fresh":
-            executor.shutdown(wait=True)
         return results

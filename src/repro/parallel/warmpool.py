@@ -1,29 +1,27 @@
 """Persistent warm worker pool shared by every ``pmap`` call in a process.
 
-PR 4's runner paid pool startup on **every** ``pmap`` call: spawn (or fork)
-N interpreters, re-import the package, run a handful of tasks, tear it all
-down — then do it again for the next table loop.  BENCH_experiments.json
-measured that overhead losing to the serial loop outright.  This module
-keeps **one** ``ProcessPoolExecutor`` alive for the life of the process:
+Paying pool startup on **every** ``pmap`` call — fork N interpreters,
+re-import the package, run a handful of tasks, tear it all down, then do it
+again for the next table loop — loses to the serial loop.  This module keeps
+**one** ``ProcessPoolExecutor`` alive for the life of the process:
 
 * **Lazy spawn** — nothing is created until the first call that actually
   dispatches to a pool; serial runs never pay a fork.
 * **Reuse** — subsequent pool-path ``pmap`` calls submit straight into the
   warm executor (``parallel.pool.reused`` counts them); workers keep their
   imported modules and in-process caches between calls.
-* **Recycling** — the pool is torn down and respawned when the environment
-  it was forked under goes stale: any ``REPRO_*`` variable change (cache
-  directory, dtype, buffer-reuse knobs — everything workers consult), a
-  start-method change, a request for more workers than the pool holds, or a
-  broken pool after a worker crash.  ``REPRO_WORKERS`` / ``REPRO_POOL``
-  themselves are exempt: they are parent-side dispatch inputs, not worker
-  state.
+* **Recycling** — the pool is torn down and respawned (counted as
+  ``parallel.pool.recycled{reason=}``) when a call's effective worker count
+  differs from the pool's size in either direction (``grow``/``shrink``:
+  the pool's size *is* the call's concurrency), when the environment it was
+  forked under goes stale (``env_changed``: any ``REPRO_*`` variable other
+  than ``REPRO_WORKERS``, a parent-side dispatch input), or when a worker
+  crash broke it (``broken``).
 * **Idle-safe shutdown** — :func:`shutdown` runs via ``atexit``; an
   interpreter exit with an idle warm pool joins its workers cleanly.
 
-``REPRO_POOL`` selects the strategy per run: ``persistent`` (default) warm
-pool, ``fresh`` one pool per call (PR 4 behavior, kept for A/B timing), or
-``serial`` to force the in-process loop regardless of worker count.
+Workers start with ``fork`` where the platform has it (cheap, inherits warm
+state), else ``spawn``.
 """
 
 from __future__ import annotations
@@ -35,35 +33,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from ..obs import METRICS
 
-__all__ = ["POOL_MODES", "pool_mode", "get_executor", "shutdown", "discard"]
-
-POOL_MODES = ("persistent", "fresh", "serial")
-
-#: Parent-side knobs that must NOT recycle the pool when they change.
-_NON_RECYCLING = frozenset({"REPRO_POOL", "REPRO_WORKERS"})
+__all__ = ["get_executor", "current_executor", "shutdown"]
 
 _executor: ProcessPoolExecutor | None = None
 _size = 0
-_method: str | None = None
 _fingerprint: tuple | None = None
-
-
-def pool_mode() -> str:
-    """The run's pool strategy: ``$REPRO_POOL`` or ``persistent``."""
-    mode = os.environ.get("REPRO_POOL", "persistent")
-    if mode not in POOL_MODES:
-        raise ValueError(f"REPRO_POOL={mode!r}; expected one of {POOL_MODES}")
-    return mode
-
-
-def _start_method() -> str:
-    """``fork`` where the platform has it (cheap, inherits warm state);
-    ``spawn`` elsewhere.  ``REPRO_MP_START`` overrides for debugging."""
-    override = os.environ.get("REPRO_MP_START")
-    if override:
-        return override
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 def _worker_init() -> None:
@@ -82,48 +56,42 @@ def env_fingerprint() -> tuple:
         sorted(
             (k, v)
             for k, v in os.environ.items()
-            if k.startswith("REPRO_") and k not in _NON_RECYCLING
+            if k.startswith("REPRO_") and k != "REPRO_WORKERS"
         )
     )
 
 
-def _stale_reason(workers: int, method: str, fingerprint: tuple) -> str | None:
+def _stale_reason(workers: int, fingerprint: tuple) -> str | None:
     if _executor is None:
         return None
     if getattr(_executor, "_broken", False):
         return "broken"
-    if method != _method:
-        return "start_method"
     if fingerprint != _fingerprint:
         return "env_changed"
     if workers > _size:
         return "grow"
+    if workers < _size:
+        return "shrink"
     return None
 
 
 def get_executor(workers: int) -> ProcessPoolExecutor:
-    """The warm executor, spawning or recycling it as needed.
-
-    Sized at the largest worker count ever requested (never shrunk — Python
-    3.9+ executors spawn processes lazily and reuse idle ones, so an
-    oversized pool costs nothing until used).  Callers bound *concurrency*
-    per call by windowing their submissions, not by pool size.
-    """
-    global _executor, _size, _method, _fingerprint
-    method = _start_method()
+    """The warm executor with exactly ``workers`` processes, spawning or
+    recycling it as needed."""
+    global _executor, _size, _fingerprint
     fingerprint = env_fingerprint()
-    reason = _stale_reason(workers, method, fingerprint)
+    reason = _stale_reason(workers, fingerprint)
     if reason is not None:
         METRICS.inc("parallel.pool.recycled", reason=reason)
         shutdown()
     if _executor is None:
+        method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         _executor = ProcessPoolExecutor(
             max_workers=workers,
             mp_context=multiprocessing.get_context(method),
             initializer=_worker_init,
         )
         _size = workers
-        _method = method
         _fingerprint = fingerprint
         METRICS.inc("parallel.pool.spawned")
     else:
@@ -138,16 +106,11 @@ def current_executor() -> ProcessPoolExecutor | None:
 
 def shutdown(wait: bool = True) -> None:
     """Tear down the warm pool (idempotent; re-spawns lazily on next use)."""
-    global _executor, _size, _method, _fingerprint
+    global _executor, _size, _fingerprint
     executor, _executor = _executor, None
-    _size, _method, _fingerprint = 0, None, None
+    _size, _fingerprint = 0, None
     if executor is not None:
         executor.shutdown(wait=wait, cancel_futures=True)
-
-
-def discard() -> None:
-    """Drop a broken pool without joining it (worker crashed mid-call)."""
-    shutdown(wait=False)
 
 
 atexit.register(shutdown)

@@ -35,7 +35,7 @@ import os
 import sys
 
 from .. import obs
-from ..cli import add_pool_flag, add_workers_flag, apply_pool, apply_workers
+from ..cli import add_workers_flag, apply_workers
 from ..models.zoo import SPEC_BUILDERS, get_spec
 from .cluster import build_spec_cluster
 from .fastpath import FASTPATH_ENV
@@ -174,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the metrics snapshot after the run",
     )
     add_workers_flag(parser)
-    add_pool_flag(parser)
     return parser
 
 
@@ -311,7 +310,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     apply_workers(args.workers)
-    apply_pool(args.pool)
     if args.fastpath is not None:
         # Export so sweep worker processes inherit the selection too.
         os.environ[FASTPATH_ENV] = args.fastpath

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.experiments import cache
 from repro.obs import METRICS
+from repro.parallel import pmap
 
 
 @pytest.fixture(autouse=True)
@@ -80,6 +83,31 @@ class TestStateMemo:
         assert METRICS.counter("cache.memo.hit", kind="state") == 0
 
 
+class TestCorruptArtifacts:
+    def test_truncated_npz_is_a_counted_miss(self):
+        path = cache.save_state("model", {"w": np.arange(1000.0)})
+        path.write_bytes(path.read_bytes()[:200])
+        cache.clear_memo()
+        assert cache.load_state("model") is None
+        assert METRICS.counter("cache.artifact.miss", kind="state") == 1
+        assert METRICS.counter("cache.artifact.corrupt", kind="state") == 1
+        assert "state 0/1 hit/miss (+0 memo, 1 corrupt)" in cache.cache_summary()
+
+    @pytest.mark.parametrize("content", [b"not json {", b"\xff\xfe\x00", b"[1, 2]"])
+    def test_non_json_entry_is_a_counted_miss(self, content):
+        (cache.cache_dir() / "entry.json").write_bytes(content)
+        assert cache.load_json("entry") is None
+        assert METRICS.counter("cache.artifact.miss", kind="json") == 1
+        assert METRICS.counter("cache.artifact.corrupt", kind="json") == 1
+
+    def test_absent_artifact_is_a_plain_miss(self):
+        assert cache.load_state("absent") is None
+        assert cache.load_json("absent") is None
+        for kind in ("state", "json"):
+            assert METRICS.counter("cache.artifact.miss", kind=kind) == 1
+            assert METRICS.counter("cache.artifact.corrupt", kind=kind) == 0
+
+
 class TestEnsure:
     def test_ensure_state_computes_once(self):
         calls = []
@@ -109,5 +137,18 @@ class TestSummary:
         cache.load_json("entry")
         line = cache.cache_summary()
         assert line.startswith("[cache]")
-        for token in ("state", "json", "memo", "acquired", "contended", "stale_takeover"):
+        for token in (
+            "state", "json", "memo", "corrupt", "acquired", "contended", "stale_takeover"
+        ):
             assert token in line
+
+    def test_parallel_line_names_serial_fallbacks(self, monkeypatch):
+        assert cache.cache_summary().splitlines()[1] == "[parallel] dispatch serial=0 pool=0"
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        with pytest.warns(RuntimeWarning, match="clamping to 1"):
+            assert pmap(abs, [-1, -2], workers=2) == [1, 2]
+        assert pmap(abs, [-3]) == [3]
+        line = cache.cache_summary().splitlines()[1]
+        assert line == (
+            "[parallel] dispatch serial=2 pool=0 (serial reasons: cpu_clamp×1 single_item×1)"
+        )

@@ -8,18 +8,13 @@ import pytest
 
 from repro import obs
 from repro.experiments.cache import clear_memo
-from repro.parallel import shm, warmpool
+from repro.parallel import warmpool
 
 
 @pytest.fixture(autouse=True)
 def clean_parallel_state(monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)
     monkeypatch.delenv("REPRO_IN_WORKER", raising=False)
-    monkeypatch.delenv("REPRO_POOL", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_MIN_ITEMS", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_MAX_TASK_BYTES", raising=False)
-    monkeypatch.delenv("REPRO_PARALLEL_CHUNKSIZE", raising=False)
-    monkeypatch.delenv("REPRO_SHM_MIN_BYTES", raising=False)
     # Multi-worker behavior tests must exercise real pools even on small CI
     # boxes, so pretend there are plenty of CPUs (resolve_workers clamps to
     # os.cpu_count otherwise); the clamp itself is tested explicitly.
@@ -30,10 +25,9 @@ def clean_parallel_state(monkeypatch):
     obs.nocprof.clear_profiles()
     clear_memo()
     yield
-    # The warm pool and shm segments outlive pmap calls by design; tests must
-    # not leak them into each other (worker pids, spawn/reuse counters).
+    # The warm pool outlives pmap calls by design; tests must not leak it
+    # into each other (worker pids, spawn/reuse counters).
     warmpool.shutdown()
-    shm.release_all()
     obs.disable_tracing()
     obs.get_collector().clear()
     obs.nocprof.disable_noc_profiling()

@@ -1,9 +1,12 @@
-"""pmap: ordering, adaptive dispatch, chunking, error propagation, obs merge."""
+"""pmap: ordering, dispatch, large callables, error propagation, obs merge."""
 
 from __future__ import annotations
 
+import functools
 import os
+import warnings
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -45,9 +48,14 @@ def _nested_view(_: int) -> tuple[bool, int, list[int]]:
 
 def _traced_task(x: int) -> int:
     METRICS.inc("test.pool.work")
+    METRICS.observe("test.pool.item", x)
     with obs.span("child_work", item=x):
         pass
     return x
+
+
+def _weights_digest(x: int, weights: np.ndarray) -> tuple:
+    return x, str(weights.dtype), weights.nbytes, float(weights[x::7].sum())
 
 
 class TestWorkerResolution:
@@ -134,6 +142,18 @@ class TestPmap:
         assert METRICS.counter("parallel.pmap.pools", pool="sq") == 1
         assert METRICS.counter("parallel.pmap.tasks", pool="sq") == 5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_large_partial_matches_serial(self, dtype):
+        # A callable closing over a dataset-sized array ships with every
+        # task; workers must compute exactly what the serial loop does.
+        weights = np.random.default_rng(7).standard_normal(1 << 18).astype(dtype)
+        assert weights.nbytes >= 1 << 20
+        fn = functools.partial(_weights_digest, weights=weights)
+        METRICS.reset()
+        out = pmap(fn, range(6), workers=2)
+        assert METRICS.counter("parallel.dispatch", path="pool") == 1
+        assert out == [fn(x) for x in range(6)]
+
 
 class TestAdaptiveDispatch:
     def test_single_cpu_falls_back_to_serial(self, monkeypatch):
@@ -147,25 +167,22 @@ class TestAdaptiveDispatch:
         assert METRICS.counter("parallel.dispatch", path="serial") == 1
         assert METRICS.counter("parallel.dispatch.serial", reason="cpu_clamp") == 1
 
+    def test_single_item_never_warns_about_clamp(self, monkeypatch):
+        # One item stays serial whatever the worker count, so asking for
+        # more workers than CPUs is no oversubscription worth a warning.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        METRICS.reset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pmap(_pid_of, [0], workers=8) == [os.getpid()]
+        assert METRICS.counter("parallel.dispatch.serial", reason="single_item") == 1
+        assert METRICS.counter("parallel.dispatch.serial", reason="cpu_clamp") == 0
+
     def test_pool_path_records_dispatch_metric(self):
         METRICS.reset()
         pmap(_square, range(6), workers=2)
-        assert METRICS.counter("parallel.dispatch", path="pool_warm") == 1
-
-    def test_min_items_threshold_stays_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_ITEMS", "10")
-        METRICS.reset()
-        assert set(pmap(_pid_of, range(6), workers=2)) == {os.getpid()}
-        assert METRICS.counter("parallel.dispatch.serial", reason="few_items") == 1
-
-    def test_oversized_payload_stays_serial(self, monkeypatch):
-        # Each item is ~64 KiB; with a 1 KiB per-task budget, IPC transfer
-        # would dwarf the trivial task, so dispatch keeps the call serial.
-        monkeypatch.setenv("REPRO_PARALLEL_MAX_TASK_BYTES", "1024")
-        METRICS.reset()
-        items = [bytes(65536) for _ in range(4)]
-        assert pmap(len, items, workers=2) == [65536] * 4
-        assert METRICS.counter("parallel.dispatch.serial", reason="payload") == 1
+        assert METRICS.counter("parallel.dispatch", path="pool") == 1
+        assert METRICS.counter("parallel.dispatch", path="serial") == 0
 
     def test_unpicklable_callable_falls_back_to_serial(self):
         METRICS.reset()
@@ -178,44 +195,6 @@ class TestAdaptiveDispatch:
         METRICS.reset()
         pmap(_square, range(4), workers=4)
         assert METRICS.counter("parallel.dispatch", path="serial") == 0
-
-
-class TestChunking:
-    def test_explicit_chunksize_preserves_order(self):
-        METRICS.reset()
-        assert pmap(_square, range(10), workers=2, chunksize=3) == [
-            x * x for x in range(10)
-        ]
-        assert METRICS.counter("parallel.pmap.chunks", pool="_square") == 4
-        assert METRICS.counter("parallel.pmap.tasks", pool="_square") == 10
-
-    def test_auto_chunksize_batches_many_small_tasks(self):
-        METRICS.reset()
-        assert pmap(_square, range(64), workers=2) == [x * x for x in range(64)]
-        # 64 items / (2 workers * 4 chunks each) = chunksize 8.
-        assert METRICS.counter("parallel.pmap.chunks", pool="_square") == 8
-
-    def test_obs_merge_is_identical_under_chunking(self):
-        METRICS.reset()
-        [_traced_task(x) for x in range(12)]
-        serial = _snapshot_without_parallel_keys()
-        METRICS.reset()
-        pmap(_traced_task, range(12), workers=2, chunksize=3)
-        chunked = _snapshot_without_parallel_keys()
-        assert serial == chunked
-
-    def test_chunked_spans_still_reparent_under_pmap(self):
-        obs.enable_tracing()
-        METRICS.reset()
-        pmap(_traced_task, range(8), workers=2, chunksize=4, label="chunked")
-        records = obs.get_collector().records()
-        pmap_spans = [r for r in records if r["name"] == "pmap"]
-        children = [r for r in records if r["name"] == "child_work"]
-        assert len(pmap_spans) == 1
-        assert len(children) == 8
-        assert {c["parent"] for c in children} == {pmap_spans[0]["id"]}
-        # Input order survives chunked shipment.
-        assert [c["attrs"]["item"] for c in children] == list(range(8))
 
 
 class TestObsMerge:
@@ -240,3 +219,24 @@ class TestObsMerge:
         assert {c["parent"] for c in children} == {pmap_id}
         # Adopted ids were remapped into the parent collector's id space.
         assert len({r["id"] for r in records}) == len(records)
+
+    def test_merge_matches_serial_run(self):
+        # Metrics and spans merged from worker payloads, in input order,
+        # equal what the same tasks record when run in-process.
+        obs.enable_tracing()
+        METRICS.reset()
+        [_traced_task(x) for x in range(12)]
+        serial_metrics = _snapshot_without_parallel_keys()
+        serial_spans = [
+            (r["name"], r["attrs"]) for r in obs.get_collector().records()
+        ]
+        obs.get_collector().clear()
+        METRICS.reset()
+        pmap(_traced_task, range(12), workers=2)
+        assert _snapshot_without_parallel_keys() == serial_metrics
+        pooled_spans = [
+            (r["name"], r["attrs"])
+            for r in obs.get_collector().records()
+            if r["name"] != "pmap"
+        ]
+        assert pooled_spans == serial_spans

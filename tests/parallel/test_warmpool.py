@@ -1,10 +1,8 @@
-"""Warm pool: reuse across pmap calls, recycling, REPRO_POOL modes."""
+"""Warm pool: reuse across pmap calls and recycling."""
 
 from __future__ import annotations
 
 import os
-
-import pytest
 
 from repro.obs import METRICS
 from repro.parallel import pmap, warmpool
@@ -68,33 +66,17 @@ class TestRecycling:
         pmap(_pid_of, range(8), workers=2)
         pmap(_pid_of, range(8), workers=4)
         assert METRICS.counter("parallel.pool.recycled", reason="grow") == 1
-        # Shrinking reuses the bigger pool (submission windowing bounds
-        # concurrency, not pool size).
-        pmap(_pid_of, range(8), workers=2)
         assert METRICS.counter("parallel.pool.spawned") == 2
+        assert warmpool.current_executor()._max_workers == 4
 
-
-class TestPoolModes:
-    def test_fresh_mode_never_keeps_a_pool(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "fresh")
+    def test_shrinking_worker_count_recycles(self):
+        # The pool's size is the call's concurrency, so a smaller call must
+        # not run on a bigger pool left by an earlier one.
         METRICS.reset()
-        pids = pmap(_pid_of, range(4), workers=2)
-        assert os.getpid() not in pids
-        assert warmpool.current_executor() is None
-        assert METRICS.counter("parallel.dispatch", path="pool_fresh") == 1
-        assert METRICS.counter("parallel.pool.spawned") == 0
+        pmap(_pid_of, range(8), workers=4)
+        pids = pmap(_pid_of, range(8), workers=2)
+        assert METRICS.counter("parallel.pool.recycled", reason="shrink") == 1
+        assert METRICS.counter("parallel.pool.spawned") == 2
+        assert warmpool.current_executor()._max_workers == 2
+        assert len(set(pids)) <= 2
 
-    def test_serial_mode_forces_in_process(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "serial")
-        METRICS.reset()
-        assert set(pmap(_pid_of, range(4), workers=4)) == {os.getpid()}
-        assert METRICS.counter("parallel.dispatch", path="serial") == 1
-        assert METRICS.counter("parallel.dispatch.serial", reason="forced") == 1
-
-    def test_unknown_mode_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "sometimes")
-        with pytest.raises(ValueError, match="REPRO_POOL"):
-            pmap(_pid_of, range(4), workers=2)
-
-    def test_default_mode_is_persistent(self):
-        assert warmpool.pool_mode() == "persistent"

@@ -145,9 +145,9 @@ class TestSweepByteIdentity:
 
         On a 1-CPU host ``pmap`` clamps ``--workers 2`` to the serial loop,
         so the cross-process mechanics are exercised here directly through
-        the worker-side chunk runner.
+        the worker-side task runner.
         """
-        from repro.parallel.pool import _run_chunk
+        from repro.parallel.pool import _run_task
 
         def task(seed):
             result, _ = _run(requests=30, seed=seed)
@@ -160,10 +160,10 @@ class TestSweepByteIdentity:
 
         obs.clear_timeseries()
         clear_service_memo()
-        chunk = _run_chunk((task, [1, 2], False, False, {}))
+        outputs = [_run_task((task, seed, False, False, {})) for seed in (1, 2)]
         obs.clear_timeseries()  # the last task's state is still live
         obs.enable_timeseries()
-        for _result, payload in chunk:
+        for _result, payload in outputs:
             assert not payload["spans"]
             merge_payload(payload)
         assert json.dumps(obs.global_timeseries(), sort_keys=True) == serial
