@@ -145,8 +145,7 @@ class _GridPoint:
 
     The dataset and baseline plan are **not** fields: they are identical for
     every point of a grid, so they ride the ``pmap`` callable (a
-    ``functools.partial``), which the pool broadcasts to workers once via
-    shared memory instead of re-pickling into each task.  Only the
+    ``functools.partial``), which is pickled with each pool task.  Only the
     dataset's name stays here — the cache key needs it.
     """
 
@@ -218,7 +217,7 @@ def _run_grid_point(
     """Evaluate one lambda: ``(traffic_rate, lam, accuracy)``.
 
     ``dataset`` and ``baseline_plan`` arrive bound into the ``pmap``
-    callable (broadcast once per grid, read-only by contract).  The trained
+    callable (pickled with each task, read-only by contract).  The trained
     state stays in the artifact cache (not the return value), so a wide grid
     holds at most one state dict in memory at a time — the parent reloads
     only the winner.

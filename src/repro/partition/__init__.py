@@ -1,7 +1,8 @@
 """Partitioning schemes: the paper's core contribution.
 
-Traditional (broadcast) parallelization, structure-level grouping, and
-communication-aware sparsified plans, all producing the common
+Traditional (broadcast) parallelization, structure-level grouping,
+per-layer degree plans and communication-aware sparsified plans, all built
+by one per-layer loop (:mod:`repro.partition.layout`) into the common
 :class:`ModelParallelPlan` the end-to-end simulator consumes.
 """
 

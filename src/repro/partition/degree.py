@@ -10,7 +10,7 @@ low-degree layers cluster near the memory controller corner), and the
 inter-layer redistribution traffic is whatever the producer slices of degree
 ``q`` must send to the consumer slices of degree ``p``.
 
-Everything is built from the same layout/needs machinery as
+Everything is built from the same per-layer loop and grouped rules as
 :func:`~repro.partition.traditional.build_traditional_plan` — a degree plan
 with every degree equal to ``num_cores`` *is* the traditional plan, traffic
 matrix for traffic matrix (property-tested).  The plans exist so a search
@@ -24,42 +24,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from ..models.spec import LayerSpec, NetworkSpec
-from .layout import default_out_bounds, producer_layout_for, traffic_from_needs
-from .plan import LayerPlan, ModelParallelPlan
-from .traditional import grouped_needs, grouped_workloads
+from .layout import _group_misalignment, degree_out_bounds
+from .plan import ModelParallelPlan
+from .traditional import _grouped_plan
 
 __all__ = ["build_degree_plan", "degree_out_bounds", "valid_degree"]
 
 
-def degree_out_bounds(
-    layer: LayerSpec, degree: int, num_cores: int
-) -> list[tuple[int, int]]:
-    """Output split of ``layer`` at ``degree``, padded to ``num_cores`` slots.
-
-    The first ``degree`` cores receive the group-aligned even split; the
-    remaining cores hold empty ``(C, C)`` slices — legal in
-    :class:`~repro.partition.plan.LayerPlan` and invisible to the traffic
-    builders.
-    """
-    if not 1 <= degree <= num_cores:
-        raise ValueError(
-            f"{layer.name}: degree {degree} outside 1..{num_cores}"
-        )
-    bounds = default_out_bounds(layer, degree)
-    pad = layer.out_channels
-    return bounds + [(pad, pad)] * (num_cores - degree)
-
-
 def valid_degree(layer: LayerSpec, degree: int) -> bool:
     """Whether ``layer`` can be split ``degree`` ways (group alignment)."""
-    g = layer.groups
-    if degree < 1:
-        return False
-    if g <= 1:
-        return True
-    if layer.out_channels % g:
-        return False
-    return (g <= degree and degree % g == 0) or (g > degree and g % degree == 0)
+    return degree >= 1 and _group_misalignment(layer, degree) is None
 
 
 def build_degree_plan(
@@ -74,38 +48,13 @@ def build_degree_plan(
     ``degrees[i]`` is the core count of the ``i``-th *compute* layer.  The
     first layer reads the network input from memory (no NoC traffic),
     exactly like the traditional builder; later layers pay the
-    producer-layout redistribution from the previous layer's degree.
+    producer-layout redistribution from the previous layer's degree.  A
+    degree outside ``1..num_cores`` or misaligned with the layer's groups
+    (see :func:`valid_degree`) raises ``ValueError``.
     """
     layers = spec.compute_layers()
     if len(degrees) != len(layers):
         raise ValueError(
             f"{spec.name}: {len(degrees)} degrees for {len(layers)} compute layers"
         )
-    for layer, degree in zip(layers, degrees):
-        if not valid_degree(layer, degree):
-            raise ValueError(
-                f"{layer.name}: degree {degree} incompatible with "
-                f"groups={layer.groups}"
-            )
-    plan = ModelParallelPlan(
-        name=spec.name, scheme=scheme, num_cores=num_cores, layers=[]
-    )
-    prev_layer: LayerSpec | None = None
-    prev_bounds: list[tuple[int, int]] | None = None
-    for layer, degree in zip(layers, degrees):
-        out_bounds = degree_out_bounds(layer, degree, num_cores)
-        layout = producer_layout_for(layer, prev_layer, prev_bounds, num_cores)
-        needs = grouped_needs(layer, out_bounds)
-        traffic = traffic_from_needs(
-            layout, needs, bytes_per_value, label=f"{spec.name}/{layer.name}"
-        )
-        plan.layers.append(
-            LayerPlan(
-                layer=layer,
-                out_bounds=out_bounds,
-                core_workloads=grouped_workloads(layer, out_bounds),
-                traffic=traffic,
-            )
-        )
-        prev_layer, prev_bounds = layer, out_bounds
-    return plan
+    return _grouped_plan(spec, num_cores, degrees, bytes_per_value, scheme)

@@ -10,18 +10,23 @@ fully determined by layer ``k-1``'s output-channel assignment:
 * dense -> dense: feature blocks carry over;
 * network input: resident in DRAM, broadcast through the memory controller to
   every core — no inter-core traffic (Table I likewise starts at conv2).
+
+The schemes differ only in which inputs each core needs, so one per-layer
+loop here (``_build_plan``) builds every plan from a need and a workload rule.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..models.spec import LayerSpec
+from ..accel.core import CoreWorkload
+from ..models.spec import LayerSpec, NetworkSpec
 from ..noc.traffic import TrafficMatrix
 from ..nn.sparsity import split_boundaries
-from .plan import feature_bounds_from_channels
+from .plan import LayerPlan, ModelParallelPlan, feature_bounds_from_channels
 
 __all__ = ["ProducerLayout", "producer_layout_for", "traffic_from_needs"]
 
@@ -129,6 +134,20 @@ def traffic_from_needs(
     return TrafficMatrix(m, label=label)
 
 
+def _group_misalignment(layer: LayerSpec, num_cores: int) -> str | None:
+    """Why ``layer`` cannot be split ``num_cores`` ways (group alignment)."""
+    g = layer.groups
+    if g <= 1:
+        return None
+    if layer.out_channels % g:
+        return f"{layer.out_channels} channels not divisible by groups={g}"
+    # Cores split each group evenly, or each core takes whole groups.
+    leftover = num_cores % g if g <= num_cores else g % num_cores
+    if leftover:
+        return f"a {num_cores}-way split misaligns with groups={g}"
+    return None
+
+
 def default_out_bounds(layer: LayerSpec, num_cores: int) -> list[tuple[int, int]]:
     """Per-core output split, group-aligned for grouped conv layers.
 
@@ -142,20 +161,14 @@ def default_out_bounds(layer: LayerSpec, num_cores: int) -> list[tuple[int, int]
     * ``groups > num_cores`` (requires ``groups % num_cores == 0``): each core
       receives ``groups/num_cores`` whole groups.
     """
+    problem = _group_misalignment(layer, num_cores)
+    if problem:
+        raise ValueError(f"{layer.name}: {problem}")
     g = layer.groups
     if g <= 1:
         return split_boundaries(layer.out_channels, num_cores)
-    if layer.out_channels % g:
-        raise ValueError(
-            f"{layer.name}: {layer.out_channels} channels not divisible by "
-            f"groups={g}"
-        )
     per_group = layer.out_channels // g
     if g <= num_cores:
-        if num_cores % g:
-            raise ValueError(
-                f"{layer.name}: num_cores={num_cores} not divisible by groups={g}"
-            )
         cluster = num_cores // g
         bounds: list[tuple[int, int]] = []
         for gi in range(g):
@@ -163,12 +176,65 @@ def default_out_bounds(layer: LayerSpec, num_cores: int) -> list[tuple[int, int]
             for start, stop in split_boundaries(per_group, cluster):
                 bounds.append((base + start, base + stop))
         return bounds
-    if g % num_cores:
-        raise ValueError(
-            f"{layer.name}: groups={g} not divisible by num_cores={num_cores}"
-        )
     groups_per_core = g // num_cores
     return [
         (c * groups_per_core * per_group, (c + 1) * groups_per_core * per_group)
         for c in range(num_cores)
     ]
+
+
+def degree_out_bounds(
+    layer: LayerSpec, degree: int, num_cores: int
+) -> list[tuple[int, int]]:
+    """Output split of ``layer`` at ``degree``, padded to ``num_cores`` slots.
+
+    The first ``degree`` cores receive the group-aligned even split; the
+    remaining cores hold empty ``(C, C)`` slices — legal in
+    :class:`~repro.partition.plan.LayerPlan` and invisible to the traffic
+    builders.
+    """
+    if not 1 <= degree <= num_cores:
+        raise ValueError(f"{layer.name}: degree {degree} outside 1..{num_cores}")
+    bounds = default_out_bounds(layer, degree)
+    pad = layer.out_channels
+    return bounds + [(pad, pad)] * (num_cores - degree)
+
+
+def _build_plan(
+    spec: NetworkSpec,
+    num_cores: int,
+    degrees: Sequence[int],
+    needs_of: Callable[..., np.ndarray],
+    workloads_of: Callable[..., list[CoreWorkload]],
+    bytes_per_value: int,
+    scheme: str,
+) -> ModelParallelPlan:
+    """The per-layer loop behind every plan builder.
+
+    Compute layer ``i`` is split ``degrees[i]`` ways.  The first layer reads
+    the network input from memory: no NoC traffic, and every core needs the
+    whole input.  Each later layer's producer layout comes from the previous
+    layer's split, and the need rule ``needs_of(layer, out_bounds)`` says
+    which of those inputs each core needs; the need table becomes the
+    layer's traffic.  The workload rule ``workloads_of(layer, out_bounds,
+    needs)`` gives each core's compute.
+    """
+    plan = ModelParallelPlan(
+        name=spec.name, scheme=scheme, num_cores=num_cores, layers=[]
+    )
+    prev_layer: LayerSpec | None = None
+    prev_bounds: list[tuple[int, int]] | None = None
+    for layer, degree in zip(spec.compute_layers(), degrees):
+        out_bounds = degree_out_bounds(layer, degree, num_cores)
+        layout = producer_layout_for(layer, prev_layer, prev_bounds, num_cores)
+        if layout is None:
+            needs = np.ones((layer.in_channels, num_cores), dtype=bool)
+        else:
+            needs = needs_of(layer, out_bounds)
+        traffic = traffic_from_needs(
+            layout, needs, bytes_per_value, label=f"{spec.name}/{layer.name}"
+        )
+        workloads = workloads_of(layer, out_bounds, needs)
+        plan.layers.append(LayerPlan(layer, out_bounds, workloads, traffic))
+        prev_layer, prev_bounds = layer, out_bounds
+    return plan

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..accel.core import CoreModel, CoreWorkload
+from ..accel.core import CoreModel
 from ..models.spec import LayerSpec, NetworkSpec
 from ..noc.packet import NoCConfig
 from ..noc.topology import Mesh2D
+from .traditional import grouped_workloads
 
 __all__ = ["PipelineStage", "PipelinePlan", "balanced_stage_split", "build_pipeline_plan"]
 
@@ -53,17 +54,12 @@ class PipelineStage:
 
     def compute_cycles(self, core_model: CoreModel) -> int:
         """Whole-layer-on-one-core cycles for every layer in the stage."""
-        total = 0
-        for layer in self.layers:
-            num_inputs = layer.in_channels if layer.kind == "conv" else layer.in_shape[0]
-            work = CoreWorkload(
-                layer=layer,
-                out_channels=layer.out_channels // layer.groups,
-                in_channels_used=num_inputs // layer.groups,
-                repeats=layer.groups,
+        return sum(
+            core_model.compute_cycles(
+                grouped_workloads(layer, [(0, layer.out_channels)])[0]
             )
-            total += core_model.compute_cycles(work)
-        return total
+            for layer in self.layers
+        )
 
 
 def balanced_stage_split(

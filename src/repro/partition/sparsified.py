@@ -24,24 +24,14 @@ from ..accel.core import CoreWorkload
 from ..models.spec import LayerSpec, NetworkSpec
 from ..nn.network import Sequential
 from ..nn.sparsity import CoreBlockPartition
-from .layout import default_out_bounds, producer_layout_for, traffic_from_needs
-from .plan import LayerPlan, ModelParallelPlan, feature_bounds_from_channels
+from .layout import _build_plan, default_out_bounds, producer_layout_for
+from .plan import ModelParallelPlan
 
 __all__ = [
     "layer_block_partitions",
     "sparsified_needs",
     "build_sparsified_plan",
 ]
-
-
-def _iter_compute_layers(spec: NetworkSpec, num_cores: int):
-    """Yield (layer, prev_layer, prev_bounds, out_bounds) over compute layers."""
-    prev_layer: LayerSpec | None = None
-    prev_bounds: list[tuple[int, int]] | None = None
-    for layer in spec.compute_layers():
-        out_bounds = default_out_bounds(layer, num_cores)
-        yield layer, prev_layer, prev_bounds, out_bounds
-        prev_layer, prev_bounds = layer, out_bounds
 
 
 def layer_block_partitions(
@@ -53,43 +43,27 @@ def layer_block_partitions(
     layer is excluded — its input is the network input, broadcast from
     memory, so sparsifying its blocks would save no communication.  Producer
     boundaries follow the *physical* layout of the previous layer's output
-    (channel blocks scaled by the feature-map size for dense-after-conv), so
-    regularized groups and traffic analysis always line up.
+    (:func:`~repro.partition.layout.producer_layout_for`, the layout the plan
+    builders use), so regularized groups and traffic analysis always line up.
     """
-    spec = NetworkSpec.from_sequential(model)
+    layers = NetworkSpec.from_sequential(model).compute_layers()
     partitions: dict[str, CoreBlockPartition] = {}
-    for layer, prev_layer, prev_bounds, out_bounds in _iter_compute_layers(
-        spec, num_cores
-    ):
-        if prev_layer is None:
-            continue
+    for prev_layer, layer in zip(layers, layers[1:]):
         if layer.kind == "conv" and layer.groups != 1:
             raise ValueError(
                 f"{layer.name}: sparsified parallelization expects a dense "
                 f"(ungrouped) baseline, got groups={layer.groups}"
             )
+        prev_bounds = default_out_bounds(prev_layer, num_cores)
+        layout = producer_layout_for(layer, prev_layer, prev_bounds, num_cores)
         param = model.get_parameter(f"{layer.name}.weight")
-        if layer.kind == "conv":
-            partitions[param.name] = CoreBlockPartition(
-                param.shape,
-                "conv",
-                num_cores,
-                producer_bounds=list(prev_bounds),
-                consumer_bounds=list(out_bounds),
-            )
-        else:
-            if prev_layer.kind == "conv":
-                per_channel = layer.in_shape[0] // prev_layer.out_channels
-                producer = feature_bounds_from_channels(prev_bounds, per_channel)
-            else:
-                producer = list(prev_bounds)
-            partitions[param.name] = CoreBlockPartition(
-                param.shape,
-                "dense",
-                num_cores,
-                producer_bounds=producer,
-                consumer_bounds=list(out_bounds),
-            )
+        partitions[param.name] = CoreBlockPartition(
+            param.shape,
+            layer.kind,
+            num_cores,
+            producer_bounds=list(layout.bounds),
+            consumer_bounds=default_out_bounds(layer, num_cores),
+        )
     return partitions
 
 
@@ -104,7 +78,6 @@ def sparsified_needs(
     ``needs[c, j]`` is True when any weight connecting input index ``c`` to
     consumer core ``j``'s output slice exceeds ``tol`` in magnitude.
     """
-    p = len(out_bounds)
     if layer.kind == "conv":
         if weights.shape[:2] != (layer.out_channels, layer.in_channels):
             raise ValueError(
@@ -113,26 +86,35 @@ def sparsified_needs(
             )
         # Max |w| per (output channel, input channel) pair.
         per_pair = np.abs(weights).max(axis=(2, 3))
-        num_inputs = layer.in_channels
-        needs = np.zeros((num_inputs, p), dtype=bool)
-        for j, (o0, o1) in enumerate(out_bounds):
-            if o1 > o0:
-                needs[:, j] = per_pair[o0:o1, :].max(axis=0) > tol
-        return needs
-    if layer.kind == "dense":
-        in_features = layer.in_shape[0]
-        if weights.shape != (in_features, layer.out_channels):
+    elif layer.kind == "dense":
+        if weights.shape != (layer.in_channels, layer.out_channels):
             raise ValueError(
                 f"{layer.name}: weight shape {weights.shape} does not match "
-                f"({in_features}, {layer.out_channels})"
+                f"({layer.in_channels}, {layer.out_channels})"
             )
-        needs = np.zeros((in_features, p), dtype=bool)
-        per_abs = np.abs(weights)
-        for j, (o0, o1) in enumerate(out_bounds):
-            if o1 > o0:
-                needs[:, j] = per_abs[:, o0:o1].max(axis=1) > tol
-        return needs
-    raise ValueError(f"{layer.name}: not a compute layer ({layer.kind})")
+        per_pair = np.abs(weights).T
+    else:
+        raise ValueError(f"{layer.name}: not a compute layer ({layer.kind})")
+    needs = np.zeros((layer.in_channels, len(out_bounds)), dtype=bool)
+    for j, (o0, o1) in enumerate(out_bounds):
+        if o1 > o0:
+            needs[:, j] = per_pair[o0:o1].max(axis=0) > tol
+    return needs
+
+
+def _needed_workloads(
+    layer: LayerSpec, out_bounds: list[tuple[int, int]], needs: np.ndarray
+) -> list[CoreWorkload]:
+    """Per-core workloads consuming exactly the inputs the need table marks."""
+    used = needs.sum(axis=0)
+    return [
+        CoreWorkload(
+            layer=layer,
+            out_channels=stop - start,
+            in_channels_used=int(used[core]) if stop > start else 0,
+        )
+        for core, (start, stop) in enumerate(out_bounds)
+    ]
 
 
 def build_sparsified_plan(
@@ -147,18 +129,14 @@ def build_sparsified_plan(
     Works for any trained model: a dense baseline yields the traditional
     plan's traffic; group-Lasso-trained weights yield correspondingly
     thinner traffic.  ``tol`` treats tiny weights as zero (useful when the
-    optimizer got close to, but not exactly, zero).
+    optimizer got close to, but not exactly, zero).  Every layer runs at
+    full degree; the first reads the network input from memory and computes
+    densely.
     """
     spec = NetworkSpec.from_sequential(model)
-    plan = ModelParallelPlan(
-        name=spec.name, scheme=scheme, num_cores=num_cores, layers=[]
-    )
-    for layer, prev_layer, prev_bounds, out_bounds in _iter_compute_layers(
-        spec, num_cores
-    ):
-        layout = producer_layout_for(layer, prev_layer, prev_bounds, num_cores)
-        weights = model.get_parameter(f"{layer.name}.weight").data
-        if not np.all(np.isfinite(weights)):
+    layers = spec.compute_layers()
+    for layer in layers:
+        if not np.all(np.isfinite(model.get_parameter(f"{layer.name}.weight").data)):
             # A non-finite weight would silently read as "prunable" below
             # (NaN comparisons are False); that is a training failure, not a
             # communication saving.
@@ -166,31 +144,17 @@ def build_sparsified_plan(
                 f"{layer.name}: weights contain non-finite values; "
                 "the model did not train successfully"
             )
-        if layout is None:
-            # First layer: inputs broadcast from memory; full dense compute.
-            num_inputs = (
-                layer.in_channels if layer.kind == "conv" else layer.in_shape[0]
-            )
-            needs = np.ones((num_inputs, num_cores), dtype=bool)
-        else:
-            needs = sparsified_needs(layer, weights, out_bounds, tol=tol)
-        traffic = traffic_from_needs(
-            layout, needs, bytes_per_value, label=f"{spec.name}/{layer.name}"
-        )
-        workloads = [
-            CoreWorkload(
-                layer=layer,
-                out_channels=stop - start,
-                in_channels_used=int(needs[:, core].sum()) if stop > start else 0,
-            )
-            for core, (start, stop) in enumerate(out_bounds)
-        ]
-        plan.layers.append(
-            LayerPlan(
-                layer=layer,
-                out_bounds=out_bounds,
-                core_workloads=workloads,
-                traffic=traffic,
-            )
-        )
-    return plan
+
+    def needs_of(layer: LayerSpec, out_bounds: list[tuple[int, int]]) -> np.ndarray:
+        weights = model.get_parameter(f"{layer.name}.weight").data
+        return sparsified_needs(layer, weights, out_bounds, tol=tol)
+
+    return _build_plan(
+        spec,
+        num_cores,
+        [num_cores] * len(layers),
+        needs_of,
+        _needed_workloads,
+        bytes_per_value,
+        scheme,
+    )

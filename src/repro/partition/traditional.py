@@ -12,20 +12,21 @@ at all.
 The same machinery therefore builds both the traditional baseline plan (from
 the unmodified spec) and the structure-level plan (from a grouped spec); the
 two differ only in the network they describe.
+
+:func:`grouped_needs` and :func:`grouped_workloads` are the *grouped* need
+and workload rules the shared per-layer loop runs for this scheme.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
 from ..accel.core import CoreWorkload
 from ..models.spec import LayerSpec, NetworkSpec
-from .layout import (
-    default_out_bounds,
-    producer_layout_for,
-    traffic_from_needs,
-)
-from .plan import LayerPlan, ModelParallelPlan
+from .layout import _build_plan
+from .plan import ModelParallelPlan
 
 __all__ = ["build_traditional_plan", "grouped_needs", "grouped_workloads"]
 
@@ -35,26 +36,17 @@ def grouped_needs(layer: LayerSpec, out_bounds: list[tuple[int, int]]) -> np.nda
 
     With ``groups = 1`` every consumer needs every input.  With grouping, the
     consumer's needed inputs are the union of the input ranges of the groups
-    it computes.
+    it computes — one contiguous range, since groups are contiguous.
     """
-    num_inputs = layer.in_channels if layer.kind == "conv" else layer.in_shape[0]
-    p = len(out_bounds)
-    g = layer.groups
-    needs = np.zeros((num_inputs, p), dtype=bool)
-    if g <= 1:
-        for core, (start, stop) in enumerate(out_bounds):
-            if stop > start:
-                needs[:, core] = True
-        return needs
+    g = max(layer.groups, 1)
     per_group_out = layer.out_channels // g
-    per_group_in = num_inputs // g
+    per_group_in = layer.in_channels // g
+    needs = np.zeros((layer.in_channels, len(out_bounds)), dtype=bool)
     for core, (start, stop) in enumerate(out_bounds):
-        if stop <= start:
-            continue
-        first_group = start // per_group_out
-        last_group = (stop - 1) // per_group_out
-        for gi in range(first_group, last_group + 1):
-            needs[gi * per_group_in:(gi + 1) * per_group_in, core] = True
+        if stop > start:
+            first_group = start // per_group_out
+            last_group = (stop - 1) // per_group_out
+            needs[first_group * per_group_in:(last_group + 1) * per_group_in, core] = True
     return needs
 
 
@@ -62,35 +54,28 @@ def grouped_workloads(
     layer: LayerSpec, out_bounds: list[tuple[int, int]]
 ) -> list[CoreWorkload]:
     """Per-core compute workloads honouring the layer's group structure."""
-    num_inputs = layer.in_channels if layer.kind == "conv" else layer.in_shape[0]
-    g = layer.groups
+    g = max(layer.groups, 1)
+    per_group_out = layer.out_channels // g
+    per_group_in = layer.in_channels // g
     works = []
     for start, stop in out_bounds:
         size = stop - start
         if size == 0:
             works.append(CoreWorkload(layer=layer, out_channels=0, in_channels_used=0))
-            continue
-        if g <= 1:
-            works.append(
-                CoreWorkload(layer=layer, out_channels=size, in_channels_used=num_inputs)
-            )
-            continue
-        per_group_out = layer.out_channels // g
-        per_group_in = num_inputs // g
-        if size <= per_group_out:
-            # A slice of a single group.
+        elif size <= per_group_out:
+            # A slice of a single group (an ungrouped layer is one group).
             works.append(
                 CoreWorkload(
                     layer=layer, out_channels=size, in_channels_used=per_group_in
                 )
             )
+        elif size % per_group_out:
+            raise ValueError(
+                f"{layer.name}: slice of {size} channels straddles group "
+                f"boundaries (group size {per_group_out})"
+            )
         else:
             # Whole groups stacked on one core.
-            if size % per_group_out:
-                raise ValueError(
-                    f"{layer.name}: slice of {size} channels straddles group "
-                    f"boundaries (group size {per_group_out})"
-                )
             works.append(
                 CoreWorkload(
                     layer=layer,
@@ -102,6 +87,25 @@ def grouped_workloads(
     return works
 
 
+def _grouped_plan(
+    spec: NetworkSpec,
+    num_cores: int,
+    degrees: Sequence[int],
+    bytes_per_value: int,
+    scheme: str,
+) -> ModelParallelPlan:
+    """The shared loop under the grouped need and workload rules."""
+    return _build_plan(
+        spec,
+        num_cores,
+        degrees,
+        grouped_needs,
+        lambda layer, out_bounds, _needs: grouped_workloads(layer, out_bounds),
+        bytes_per_value,
+        scheme,
+    )
+
+
 def build_traditional_plan(
     spec: NetworkSpec,
     num_cores: int,
@@ -110,28 +114,9 @@ def build_traditional_plan(
 ) -> ModelParallelPlan:
     """Map a network onto ``num_cores`` with even splits and full broadcasts.
 
-    The first compute layer reads the network input from memory (no NoC
-    traffic), matching Table I, which reports no entry for conv1.
+    Every layer runs at full degree.  The first compute layer reads the
+    network input from memory (no NoC traffic), matching Table I, which
+    reports no entry for conv1.
     """
-    plan = ModelParallelPlan(
-        name=spec.name, scheme=scheme, num_cores=num_cores, layers=[]
-    )
-    prev_layer: LayerSpec | None = None
-    prev_bounds: list[tuple[int, int]] | None = None
-    for layer in spec.compute_layers():
-        out_bounds = default_out_bounds(layer, num_cores)
-        layout = producer_layout_for(layer, prev_layer, prev_bounds, num_cores)
-        needs = grouped_needs(layer, out_bounds)
-        traffic = traffic_from_needs(
-            layout, needs, bytes_per_value, label=f"{spec.name}/{layer.name}"
-        )
-        plan.layers.append(
-            LayerPlan(
-                layer=layer,
-                out_bounds=out_bounds,
-                core_workloads=grouped_workloads(layer, out_bounds),
-                traffic=traffic,
-            )
-        )
-        prev_layer, prev_bounds = layer, out_bounds
-    return plan
+    degrees = [num_cores] * len(spec.compute_layers())
+    return _grouped_plan(spec, num_cores, degrees, bytes_per_value, scheme)

@@ -37,7 +37,8 @@ eligible), ``off`` (always the object loop), or ``force`` (error if a
 run cannot take the fast path).  Eligible means: an open-loop workload
 that can columnize its stream, and a scheduler exposing an index queue.
 Closed-loop generators, scripted streams with out-of-order rids, and
-custom policies fall back to the object loop silently under ``auto``.
+custom policies fall back to the object loop under ``auto``; each
+fallback is counted as ``serve.fastpath.fallback{reason=}``.
 """
 
 from __future__ import annotations
@@ -112,21 +113,23 @@ def plan_columnar(
 
     Returns ``(plan, None)`` when the fast path can run, else
     ``(None, reason)`` — the caller falls back to the object loop (or
-    raises, under ``force``).
+    raises, under ``force``).  ``reason`` is a fixed key: ``closed_loop``,
+    ``no_index_queue`` (custom scheduler), ``no_columns`` (the stream cannot
+    be columnized) or ``unknown_model`` (the cluster lacks a model).
     """
     if not getattr(workload, "is_open_loop", False):
-        return None, "closed-loop workload (completions spawn requests)"
+        return None, "closed_loop"
     # Cheap probe before generating the stream: custom policies without an
     # index queue never needed the columns.
     if scheduler.index_queue([], [], [], []) is None:
-        return None, f"scheduler {scheduler.name!r} exposes no index queue"
+        return None, "no_index_queue"
     cols = workload.arrival_columns()
     if cols is None:
-        return None, "workload cannot columnize its stream"
+        return None, "no_columns"
     try:
         services = [cluster.service(name) for name in cols.models]
-    except KeyError as exc:
-        return None, f"cluster cannot serve model {exc}"
+    except KeyError:
+        return None, "unknown_model"
     model_ids = cols.model_id.tolist()
     arrivals = cols.arrival.tolist()
     queue = scheduler.index_queue(
@@ -136,7 +139,7 @@ def plan_columnar(
         [svc.latency_cycles for svc in services],
     )
     if queue is None:  # pragma: no cover - probe above already rejected
-        return None, f"scheduler {scheduler.name!r} exposes no index queue"
+        return None, "no_index_queue"
     return (
         _Plan(
             cols=cols,

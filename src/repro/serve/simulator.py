@@ -72,7 +72,8 @@ class ServeSimulator:
     pass/fail scoring itself stays in :func:`repro.serve.slo.evaluate_slo`.
 
     ``fastpath`` picks the loop implementation — ``auto`` (columnar when
-    eligible, see :mod:`repro.serve.fastpath`), ``off`` (always the object
+    eligible, see :mod:`repro.serve.fastpath`; each fallback counts
+    ``serve.fastpath.fallback{reason=}``), ``off`` (always the object
     loop), or ``force`` (error when ineligible); ``None`` defers to the
     ``REPRO_SERVE_FASTPATH`` environment variable.  Both loops produce
     bit-identical results for the same seeded workload.
@@ -109,10 +110,12 @@ class ServeSimulator:
         plan = None
         if mode != "off":
             plan, reason = plan_columnar(self.cluster, self.scheduler, self.workload)
-            if plan is None and mode == "force":
-                raise RuntimeError(
-                    f"serve fastpath forced but this run is ineligible: {reason}"
-                )
+            if plan is None:
+                if mode == "force":
+                    raise RuntimeError(
+                        f"serve fastpath forced but this run is ineligible: {reason}"
+                    )
+                METRICS.inc("serve.fastpath.fallback", reason=reason)
         ts = None
         if timeseries_enabled():
             ts = start_series(

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accel.chip import ChipConfig
-from ..accel.core import CoreWorkload
 from ..models.spec import NetworkSpec
-from ..partition.traditional import build_traditional_plan
+from ..partition.traditional import build_traditional_plan, grouped_workloads
 from .engine import InferenceSimulator, SimConfig
 
 __all__ = ["DeploymentComparison", "compare_deployments", "single_core_latency"]
@@ -46,17 +45,13 @@ def single_core_latency(
     model-parallel runs.
     """
     core_model = chip.core_model()
-    total = 0
     compute_layers = spec.compute_layers()
-    for layer in compute_layers:
-        num_inputs = layer.in_channels if layer.kind == "conv" else layer.in_shape[0]
-        work = CoreWorkload(
-            layer=layer,
-            out_channels=layer.out_channels // layer.groups,
-            in_channels_used=num_inputs // layer.groups,
-            repeats=layer.groups,
+    total = sum(
+        core_model.compute_cycles(
+            grouped_workloads(layer, [(0, layer.out_channels)])[0]
         )
-        total += core_model.compute_cycles(work)
+        for layer in compute_layers
+    )
     if include_input_load and compute_layers:
         input_bytes = int(np.prod(compute_layers[0].in_shape)) * chip.bytes_per_value
         total += chip.dram.transfer_cycles(input_bytes)

@@ -91,6 +91,8 @@ class TestBuildSparsifiedPlan:
             np.testing.assert_array_equal(
                 sp.traffic.bytes_matrix, tr.traffic.bytes_matrix
             )
+            # On dense weights the need-derived and grouped workload rules agree.
+            assert sp.core_workloads == tr.core_workloads
 
     def test_pruned_block_removes_traffic(self):
         model = build_mlp(seed=0)

@@ -5,9 +5,10 @@ import pytest
 
 from repro.accel import ChipConfig
 from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
-from repro.partition import build_degree_plan, build_traditional_plan
+from repro.partition import build_degree_plan, build_traditional_plan, with_groups
 from repro.plancost import PlanCostOracle, analytic_plan_cost, candidate_degrees
 from repro.plancost.calibrate import sample_degree_configs
+from repro.serve.cluster import default_group_map
 from repro.sim.engine import InferenceSimulator, SimConfig
 
 
@@ -28,17 +29,37 @@ class TestCandidateDegrees:
             candidate_degrees(0)
 
 
+def _grouped(spec_fn, num_cores: int):
+    """``spec_fn``'s spec with every eligible conv split ``num_cores`` ways.
+
+    Degrees below ``num_cores`` then stack whole groups on each core.
+    """
+    spec = spec_fn()
+    return with_groups(spec, default_group_map(spec, num_cores))
+
+
+_SPEC_FNS = (lenet_spec, convnet_spec, alexnet_spec)
+_EXACTNESS_CASES = [
+    # The 16-core cases keep their original ids.
+    *(pytest.param(f, 16, False, id=f.__name__) for f in _SPEC_FNS),
+    *(pytest.param(f, n, False, id=f"{f.__name__}-{n}") for f in _SPEC_FNS for n in (4, 32)),
+    *(
+        pytest.param(f, n, True, id=f"{f.__name__}-grouped-{n}")
+        for f in (convnet_spec, alexnet_spec)
+        for n in (4, 16, 32)
+    ),
+]
+
+
 class TestOracleExactness:
-    @pytest.mark.parametrize(
-        "spec_fn", [lenet_spec, convnet_spec, alexnet_spec], ids=lambda f: f.__name__
-    )
-    def test_cost_equals_engine_analytical(self, spec_fn):
+    @pytest.mark.parametrize("spec_fn, num_cores, grouped", _EXACTNESS_CASES)
+    def test_cost_equals_engine_analytical(self, spec_fn, num_cores, grouped):
         """Every sampled config: oracle cost == engine analytical-mode cycles."""
-        spec = spec_fn()
-        oracle = PlanCostOracle(spec, 16)
-        sim = _analytic_sim(16)
+        spec = _grouped(spec_fn, num_cores) if grouped else spec_fn()
+        oracle = PlanCostOracle(spec, num_cores)
+        sim = _analytic_sim(num_cores)
         for config in sample_degree_configs(oracle, k=6, seed=3):
-            plan = build_degree_plan(spec, 16, config)
+            plan = build_degree_plan(spec, num_cores, config)
             engine = sim.simulate(plan).total_cycles
             assert oracle.cost(config) == engine
 

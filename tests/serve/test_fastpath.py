@@ -25,7 +25,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import lenet_spec
-from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
+from repro.obs import (
+    METRICS,
+    clear_timeseries,
+    disable_timeseries,
+    enable_timeseries,
+)
 from repro.obs.metrics import percentile
 from repro.obs.timeseries import global_timeseries
 from repro.serve import build_spec_cluster
@@ -143,10 +148,14 @@ def test_closed_loop_falls_back_under_auto():
         )
 
     plan, reason = plan_columnar(cluster, make_scheduler("fifo"), workload())
-    assert plan is None and isinstance(reason, str)
+    assert plan is None and reason == "closed_loop"
+    METRICS.reset()
     result = ServeSimulator(cluster, make_scheduler("fifo"), workload(), fastpath="auto").run()
     assert result.columns is None  # served by the object loop
     assert result.num_requests == 20
+    assert METRICS.counter("serve.fastpath.fallback", reason="closed_loop") == 1
+    ServeSimulator(cluster, make_scheduler("fifo"), workload(), fastpath="off").run()
+    assert METRICS.counter("serve.fastpath.fallback", reason="closed_loop") == 1
 
 
 def test_force_raises_on_closed_loop():
@@ -155,7 +164,7 @@ def test_force_raises_on_closed_loop():
         clients=2, requests_per_client=3, think_cycles=5e4, seed=1, mix={"lenet": 1.0}
     )
     sim = ServeSimulator(cluster, make_scheduler("fifo"), workload, fastpath="force")
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="closed_loop"):
         sim.run()
 
 
@@ -173,13 +182,16 @@ def test_custom_scheduler_falls_back_and_force_raises():
         return PoissonWorkload(50.0, 20, seed=5, mix={"lenet": 1.0})
 
     plan, reason = plan_columnar(cluster, _CustomFifo(), workload())
-    assert plan is None and isinstance(reason, str)
+    assert plan is None and reason == "no_index_queue"
+    METRICS.reset()
     auto = ServeSimulator(cluster, _CustomFifo(), workload(), fastpath="auto").run()
     assert auto.columns is None
+    assert METRICS.counter("serve.fastpath.fallback", reason="no_index_queue") == 1
     ref = ServeSimulator(cluster, FIFOScheduler(), workload(), fastpath="off").run()
     assert auto.records == ref.records  # the subclass changed nothing
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="no_index_queue"):
         ServeSimulator(cluster, _CustomFifo(), workload(), fastpath="force").run()
+    assert METRICS.counter("serve.fastpath.fallback", reason="no_index_queue") == 1
 
 
 def test_fastpath_mode_resolution(monkeypatch):
