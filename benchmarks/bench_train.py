@@ -169,7 +169,7 @@ def bench_float32(profile) -> dict:
             dtype=dtype,
         )
         t0 = time.perf_counter()
-        history = Trainer(model, cfg).fit(dataset)
+        history = Trainer(model, cfg).fit(dataset, eval_every=1)
         seconds = time.perf_counter() - t0
         runs[dtype] = {
             "train_s": round(seconds, 3),

@@ -8,12 +8,18 @@ settings key (e.g. the LeNet baseline needed by both Table IV and Table VI).
 Only the winning lambda's weights are materialized in the parent — grid
 points report ``(traffic_rate, lam, accuracy)`` and leave their trained state
 in the artifact cache for the final rebuild.
+
+Each trained state is scored once.  Its test accuracy is stored beside it in
+the cache as a ``{"accuracy": float}`` JSON entry under its own key (the
+state key plus ``-acc``), and every later load reads that entry instead of
+re-scoring the model, so a warm run scores nothing.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from ..models.factory import (
     build_table3_convnet,
 )
 from ..nn.network import Sequential
+from ..obs import METRICS
 from ..parallel import pmap
 from ..partition.plan import ModelParallelPlan
 from ..partition.sparsified import build_sparsified_plan
@@ -39,7 +46,7 @@ from ..sim.engine import InferenceSimulator, SimConfig
 from ..sim.results import SimulationResult
 from ..train.sparsify import SparsifyConfig, train_sparsified
 from ..train.trainer import Trainer, train_settings
-from .cache import ensure_state, settings_key
+from .cache import ensure_json, ensure_state, save_json, settings_key
 from .config import ExperimentProfile
 
 __all__ = [
@@ -87,6 +94,26 @@ def build_network(network: str, seed: int = 0, **kwargs) -> Sequential:
     return builder(seed=seed, **kwargs)
 
 
+def _accuracy_key(state_key: str) -> str:
+    """Cache key of the stored test accuracy of ``state_key``'s state.
+
+    A key of its own, because :func:`ensure_state` and :func:`ensure_json`
+    both claim ``<key>.lock``: on the state's key, a score claimed while the
+    state's claim is held would wait on itself.
+    """
+    return f"{state_key}-acc"
+
+
+def _stored_accuracy(state_key: str, score: Callable[[], float]) -> float:
+    """The stored test accuracy of a trained state; ``score`` only on a miss.
+
+    ``score`` runs when the entry is missing or unreadable — a cache written
+    before scores were stored, or a corrupt entry — and its result is stored.
+    """
+    entry = ensure_json(_accuracy_key(state_key), lambda: {"accuracy": score()})
+    return entry["accuracy"]
+
+
 def train_baseline(
     network: str,
     profile: ExperimentProfile,
@@ -97,7 +124,10 @@ def train_baseline(
 
     Single-flight across processes: when parallel experiments race on the
     same baseline (Table IV and Table VI both need LeNet's), exactly one
-    trains and the rest load its artifact.
+    trains and the rest load its artifact.  The returned test accuracy is
+    the state's stored score: the loaded model is scored only when the cache
+    holds no readable score for it (the cold path, or a cache written before
+    scores were stored).
     """
     dataset = dataset or dataset_for(network, profile)
     model = build_network(network, seed=profile.seed, **build_kwargs)
@@ -120,7 +150,10 @@ def train_baseline(
     state = ensure_state(key, train)
     model.load_state_dict(state)
     model.eval()
-    return model, model.accuracy(dataset.x_test, dataset.y_test)
+    accuracy = _stored_accuracy(
+        key, lambda: model.accuracy(dataset.x_test, dataset.y_test)
+    )
+    return model, accuracy
 
 
 @dataclass
@@ -184,7 +217,13 @@ def _grid_point_key(point: _GridPoint, model_name: str) -> str:
 def _grid_point_state(
     point: _GridPoint, model: Sequential, dataset: SyntheticImageDataset
 ) -> dict[str, np.ndarray]:
-    """Trained weights for one grid point: cache hit or single-flight train."""
+    """Trained weights for one grid point: cache hit or single-flight train.
+
+    Training stores the closing test accuracy of :func:`train_sparsified`
+    before the state itself, so a process waiting on the state's claim finds
+    the score too.
+    """
+    key = _grid_point_key(point, model.name)
 
     def train() -> dict[str, np.ndarray]:
         base_model, _ = train_baseline(
@@ -192,7 +231,7 @@ def _grid_point_state(
             **dict(point.build_kwargs),
         )
         model.load_state_dict(base_model.state_dict())
-        train_sparsified(
+        result = train_sparsified(
             model,
             dataset,
             point.num_cores,
@@ -204,9 +243,10 @@ def _grid_point_state(
                 prune_rms_threshold=point.profile.prune_rms_threshold,
             ),
         )
+        save_json(_accuracy_key(key), {"accuracy": result.accuracy})
         return model.state_dict()
 
-    return ensure_state(_grid_point_key(point, model.name), train)
+    return ensure_state(key, train)
 
 
 def _run_grid_point(
@@ -220,14 +260,19 @@ def _run_grid_point(
     callable (pickled with each task, read-only by contract).  The trained
     state stays in the artifact cache (not the return value), so a wide grid
     holds at most one state dict in memory at a time — the parent reloads
-    only the winner.
+    only the winner.  ``accuracy`` is the point's stored score, written when
+    it trained; the loaded model is scored only when that entry is missing
+    or unreadable.
     """
     model = build_network(
         point.network, seed=point.profile.seed, **dict(point.build_kwargs)
     )
     model.load_state_dict(_grid_point_state(point, model, dataset))
     model.eval()
-    acc = model.accuracy(dataset.x_test, dataset.y_test)
+    acc = _stored_accuracy(
+        _grid_point_key(point, model.name),
+        lambda: model.accuracy(dataset.x_test, dataset.y_test),
+    )
     plan = build_sparsified_plan(model, point.num_cores, scheme=point.scheme)
     return plan.traffic_rate_vs(baseline_plan), point.lam, acc
 
@@ -247,8 +292,9 @@ def run_sparsified_scheme(
     Mirrors the paper's protocol: each scheme is pushed to the strongest
     sparsification whose accuracy stays within the profile's tolerance of the
     dense baseline; among admissible points the one with the least NoC
-    traffic wins.  Falls back to the weakest lambda when nothing is
-    admissible (reported as-is rather than hidden).
+    traffic wins.  When nothing is admissible it falls back to the grid's
+    first lambda and counts ``experiments.operating_point.fallback{scheme=}``
+    in the global metrics registry.
 
     Grid points are independent train-or-load jobs, sharded across worker
     processes by :func:`repro.parallel.pmap`; ``workers=1`` (or unset without
@@ -284,7 +330,11 @@ def run_sparsified_scheme(
     )
 
     admissible = [c for c in candidates if c[2] >= base_acc - profile.accuracy_tolerance]
-    rate, lam, acc = min(admissible) if admissible else candidates[0]
+    if admissible:
+        rate, lam, acc = min(admissible)
+    else:
+        METRICS.inc("experiments.operating_point.fallback", scheme=scheme)
+        rate, lam, acc = candidates[0]
 
     winner = points[[p.lam for p in points].index(lam)]
     model = build_network(network, seed=profile.seed, **build_kwargs)

@@ -10,9 +10,11 @@ cross-entropy, with two extension points the sparsification recipes use:
 * a ``post_step`` hook invoked after every update, used to keep pruned
   blocks at zero during fine-tuning.
 
-Each epoch runs inside a ``train.epoch`` span (loss, reg-loss, accuracy, and
-— when tracing is on — weight sparsity as attributes) and reports
-``train.epoch_loss`` into the global metrics registry.
+Each epoch runs inside a ``train.epoch`` span (loss, reg-loss, and — when
+tracing is on — weight sparsity as attributes) and reports
+``train.epoch_loss`` into the global metrics registry.  Scoring is opt-in:
+only when the caller passes ``eval_every`` does the span also carry the
+epoch's train and test accuracy.
 """
 
 from __future__ import annotations
@@ -167,10 +169,18 @@ class Trainer:
     def fit(
         self,
         dataset: SyntheticImageDataset,
-        eval_every: int = 1,
+        eval_every: int = 0,
         verbose: bool = False,
     ) -> TrainHistory:
-        """Run the configured number of epochs; returns the history."""
+        """Run the configured number of epochs; returns the history.
+
+        ``eval_every=n`` scores train and test accuracy every ``n`` epochs
+        and after the last one; the default ``0`` scores nothing and leaves
+        both accuracy lists of the history empty.  ``verbose`` prints each
+        epoch's loss, plus its scores when the epoch was scored.
+        """
+        if eval_every < 0:
+            raise ValueError(f"eval_every must be non-negative, got {eval_every}")
         cfg = self.config
         dtype = cfg.resolved_dtype()
         self.model.astype(dtype)
@@ -222,17 +232,18 @@ class Trainer:
                 sp.set(loss=history.loss[-1], reg_loss=history.reg_loss[-1])
                 if tracing_enabled():
                     sp.set(sparsity=self._weight_sparsity())
-                if (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1:
+                line = f"epoch {epoch + 1}/{cfg.epochs}: loss={history.loss[-1]:.4f}"
+                if eval_every and (
+                    (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1
+                ):
                     train_acc = self.model.accuracy(x_train, dataset.y_train)
                     test_acc = self.model.accuracy(x_test, dataset.y_test)
                     history.train_accuracy.append(train_acc)
                     history.test_accuracy.append(test_acc)
                     sp.set(train_accuracy=train_acc, test_accuracy=test_acc)
-                    if verbose:  # pragma: no cover - console output
-                        print(
-                            f"epoch {epoch + 1}/{cfg.epochs}: loss={history.loss[-1]:.4f} "
-                            f"train={train_acc:.4f} test={test_acc:.4f}"
-                        )
+                    line += f" train={train_acc:.4f} test={test_acc:.4f}"
+                if verbose:  # pragma: no cover - console output
+                    print(line)
                 self.model.train()
         self.model.eval()
         return history

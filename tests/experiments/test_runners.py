@@ -5,6 +5,8 @@ simulation, rendering) with tiny training runs; the paper-profile numbers
 are produced by the benchmark harness.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.ablations import (
@@ -18,6 +20,7 @@ from repro.experiments.motivation import render_motivation, run_motivation
 from repro.experiments.table4 import render_table4, run_network
 from repro.experiments.table6 import run_table6
 from repro.experiments.runner import EXPERIMENTS, run_one
+from repro.obs import METRICS
 
 
 @pytest.fixture(autouse=True)
@@ -48,6 +51,21 @@ class TestTable4MLP:
             assert 0.0 <= r.traffic_rate <= 1.0
             assert r.speedup >= 1.0
         assert "mlp" in render_table4(rows)
+
+    def test_inadmissible_operating_point_is_counted_and_kept(self):
+        def fallbacks():
+            return [
+                METRICS.counter("experiments.operating_point.fallback", scheme=scheme)
+                for scheme in ("ss", "ss_mask")
+            ]
+
+        before = fallbacks()
+        rows = run_network("mlp", FAST, num_cores=16)
+        assert fallbacks() == before
+        # No accuracy can exceed the baseline's by 1.0: nothing is admissible.
+        strict = dataclasses.replace(FAST, accuracy_tolerance=-1.0)
+        assert run_network("mlp", strict, num_cores=16) == rows
+        assert fallbacks() == [n + 1 for n in before]
 
     def test_caching_speeds_second_run(self):
         import time

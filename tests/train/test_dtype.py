@@ -35,7 +35,7 @@ def _train(dataset, dtype: str) -> tuple[float, "np.dtype"]:
         weight_decay=FAST.baseline.weight_decay,
         dtype=dtype,
     )
-    history = Trainer(model, cfg).fit(dataset)
+    history = Trainer(model, cfg).fit(dataset, eval_every=1)
     dtypes = {p.data.dtype for p in model.parameters()}
     assert len(dtypes) == 1
     return history.final_test_accuracy, dtypes.pop()

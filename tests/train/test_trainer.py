@@ -34,12 +34,16 @@ class TestTrainer:
 
     def test_learns_easy_data(self, tiny_flat_dataset):
         model = tiny_model(144)
-        history = Trainer(model, TrainConfig(epochs=8, lr=0.05)).fit(tiny_flat_dataset)
+        history = Trainer(model, TrainConfig(epochs=8, lr=0.05)).fit(
+            tiny_flat_dataset, eval_every=1
+        )
         assert history.final_test_accuracy > 0.8
 
     def test_history_lengths(self, tiny_flat_dataset):
         model = tiny_model(144)
-        history = Trainer(model, TrainConfig(epochs=3)).fit(tiny_flat_dataset)
+        history = Trainer(model, TrainConfig(epochs=3)).fit(
+            tiny_flat_dataset, eval_every=1
+        )
         assert len(history.loss) == 3
         assert len(history.test_accuracy) == 3
 
@@ -49,6 +53,33 @@ class TestTrainer:
             tiny_flat_dataset, eval_every=2
         )
         assert len(history.test_accuracy) == 2
+
+    def test_default_fit_scores_nothing(self, tiny_flat_dataset, monkeypatch):
+        calls = []
+        original = Sequential.accuracy
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sequential, "accuracy", counting)
+        history = Trainer(tiny_model(144), TrainConfig(epochs=3)).fit(tiny_flat_dataset)
+        assert calls == []
+        assert history.train_accuracy == [] and history.test_accuracy == []
+        assert len(history.loss) == 3
+
+    def test_negative_eval_every_rejected_before_training(self, tiny_flat_dataset):
+        model = tiny_model(144)
+        before = model.state_dict()
+        steps = []
+        trainer = Trainer(
+            model, TrainConfig(epochs=1), post_step=lambda m: steps.append(1)
+        )
+        with pytest.raises(ValueError, match="eval_every"):
+            trainer.fit(tiny_flat_dataset, eval_every=-1)
+        assert steps == []
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
 
     def test_model_left_in_eval_mode(self, tiny_flat_dataset):
         model = tiny_model(144)
@@ -106,6 +137,8 @@ class TestTrainer:
         accs = []
         for _ in range(2):
             model = tiny_model(144, seed=2)
-            h = Trainer(model, TrainConfig(epochs=2, seed=9)).fit(tiny_flat_dataset)
+            h = Trainer(model, TrainConfig(epochs=2, seed=9)).fit(
+                tiny_flat_dataset, eval_every=1
+            )
             accs.append(h.final_test_accuracy)
         assert accs[0] == accs[1]
