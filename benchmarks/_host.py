@@ -1,11 +1,8 @@
-"""Shared host fingerprint for every ``BENCH_*.json`` writer.
+"""Host fingerprint stamped on every end-to-end benchmark result.
 
-Benchmark reports mix deterministic simulator outputs (drain cycles, request
-counts) with wall-clock measurements (speedups, overheads).  The second kind
-only means anything relative to the machine that recorded it, so every report
-embeds this fingerprint under a ``"host"`` key; the regression watchdog
-(:mod:`repro.obs.regress`) reads ``host.cpu_count`` to decide whether a
-host-sensitive tolerance gate applies or must be skipped.
+Wall-clock measurements only mean anything relative to the machine that
+recorded them, so ``benchmarks/e2e/worker.py`` embeds this fingerprint under
+a ``"host"`` key in each result.
 
 ``repro_env`` captures the ``REPRO_*`` environment knobs (worker count,
 float32 compute, cache dir overrides...) active during the run — the usual

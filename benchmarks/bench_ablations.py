@@ -25,8 +25,8 @@ def mask_rows(profile):
     return rows
 
 
-def test_benchmark_mask_exponent(benchmark, mask_rows):
-    """Timed body: the fixed (non-training) part — plan + sim at exponent 1.
+def test_benchmark_mask_exponent(mask_rows):
+    """The fixed (non-training) part — plan + sim at exponent 1.
 
     The sweep itself trains 4 models and is cached by the fixture.
     """
@@ -40,7 +40,7 @@ def test_benchmark_mask_exponent(benchmark, mask_rows):
     def body():
         return simulator.simulate(build_sparsified_plan(model, 16))
 
-    assert benchmark(body).total_cycles > 0
+    assert body().total_cycles > 0
 
 
 def test_mask_exponent_claims(mask_rows):
@@ -65,8 +65,8 @@ def mapping_rows():
     return rows
 
 
-def test_benchmark_mapping(benchmark, mapping_rows):
-    rows = benchmark.pedantic(run_mapping_ablation, rounds=2, iterations=1)
+def test_benchmark_mapping(mapping_rows):
+    rows = run_mapping_ablation()
     by_key = {(r.network, r.mapping): r for r in rows}
     for network in ("lenet", "convnet", "alexnet"):
         # Rigid channel tiling is never faster than adaptive mapping.
@@ -83,8 +83,8 @@ def noc_rows():
     return rows
 
 
-def test_benchmark_noc_sensitivity(benchmark, noc_rows):
-    rows = benchmark.pedantic(run_noc_sensitivity, rounds=1, iterations=1)
+def test_benchmark_noc_sensitivity(noc_rows):
+    rows = run_noc_sensitivity()
     by_key = {(r.num_vcs, r.vc_buffer_flits, r.physical_channels): r for r in rows}
     # More physical channels drain the burst faster at fixed VCs/buffers.
     assert (
@@ -101,8 +101,8 @@ def agreement_rows():
     return rows
 
 
-def test_benchmark_analytical_agreement(benchmark, agreement_rows):
-    rows = benchmark.pedantic(run_analytical_agreement, rounds=1, iterations=1)
+def test_benchmark_analytical_agreement(agreement_rows):
+    rows = run_analytical_agreement()
     # The cycle-level result stays within a small factor of the closed form
     # for every real layer burst.
     for r in rows:
@@ -118,8 +118,8 @@ def placement_rows(profile):
     return rows
 
 
-def test_benchmark_placement(benchmark, placement_rows, profile):
-    """Timed body: annealed placement search on the SS traffic pattern."""
+def test_benchmark_placement(placement_rows, profile):
+    """Annealed placement search on the SS traffic pattern."""
 
     from repro.experiments.common import train_baseline
     from repro.noc import Mesh2D
@@ -128,10 +128,7 @@ def test_benchmark_placement(benchmark, placement_rows, profile):
     model, _ = train_baseline("mlp", profile)
     traffic = combined_traffic(build_sparsified_plan(model, 16))
     mesh = Mesh2D.for_nodes(16)
-    placement = benchmark.pedantic(
-        annealed_placement, args=(traffic, mesh), kwargs={"iterations": 500},
-        rounds=2, iterations=1,
-    )
+    placement = annealed_placement(traffic, mesh, iterations=500)
     assert sorted(placement.tolist()) == list(range(16))
 
 
@@ -157,12 +154,10 @@ def quantization_rows(profile):
     return rows
 
 
-def test_benchmark_quantization(benchmark, quantization_rows, profile):
+def test_benchmark_quantization(quantization_rows, profile):
     from repro.experiments.ablations import run_quantization_ablation
 
-    rows = benchmark.pedantic(
-        run_quantization_ablation, args=(profile, ("mlp",)), rounds=2, iterations=1
-    )
+    rows = run_quantization_ablation(profile, ("mlp",))
     (row,) = rows
     # 16-bit fixed point is accuracy-neutral for these models (the premise
     # of the Table II datapath).
@@ -178,10 +173,10 @@ def pipeline_rows():
     return rows
 
 
-def test_benchmark_pipeline(benchmark, pipeline_rows):
+def test_benchmark_pipeline(pipeline_rows):
     from repro.experiments.ablations import run_pipeline_ablation
 
-    rows = benchmark.pedantic(run_pipeline_ablation, rounds=2, iterations=1)
+    rows = run_pipeline_ablation()
     by_key = {(r.network, r.scheme): r for r in rows}
     for network in ("lenet", "convnet", "alexnet"):
         pipe = by_key[(network, "pipeline")]

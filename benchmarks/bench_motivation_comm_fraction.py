@@ -16,8 +16,8 @@ def motivation_rows():
     return rows
 
 
-def test_benchmark_motivation(benchmark, motivation_rows):
-    rows = benchmark.pedantic(run_motivation, rounds=3, iterations=1)
+def test_benchmark_motivation(motivation_rows):
+    rows = run_motivation()
     fractions = {r.network: r.comm_fraction for r in rows}
     # Communication is a significant share of small-network inference and a
     # non-trivial share of AlexNet's.
@@ -38,13 +38,10 @@ def scaling_rows():
     return rows
 
 
-def test_benchmark_motivation_scaling(benchmark, scaling_rows):
+def test_benchmark_motivation_scaling(scaling_rows):
     from repro.experiments.motivation import run_motivation_scaling
 
-    benchmark.pedantic(
-        run_motivation_scaling, kwargs={"core_counts": (4, 16)}, rounds=2,
-        iterations=1,
-    )
+    run_motivation_scaling(core_counts=(4, 16))
     fractions = [r.comm_fraction for r in scaling_rows]
     # The paper's claim: the communication share grows with system scale...
     assert fractions == sorted(fractions)

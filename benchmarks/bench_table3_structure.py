@@ -1,8 +1,8 @@
 """Regenerates Table III and Fig. 7 — structure-level parallelization of the
 ConvNet variants (Parallel#1/#2/#3) on the 16-core chip.
 
-Training runs once per profile and is disk-cached; the timed body is the
-end-to-end inference simulation of the grouped variant.
+Training runs once per profile and is disk-cached; the simulation test runs
+the end-to-end inference simulation of the grouped variant.
 """
 
 import pytest
@@ -22,13 +22,13 @@ def table3_rows(profile):
     return rows
 
 
-def test_benchmark_table3_simulation(benchmark, table3_rows):
-    """Timed body: simulate the Parallel#2 plan (training already done)."""
+def test_benchmark_table3_simulation(table3_rows):
+    """Simulate the Parallel#2 plan (training already done)."""
     plan = build_traditional_plan(
         table3_convnet_spec(groups=16), 16, scheme="structure"
     )
     simulator = simulator_for(16)
-    result = benchmark(simulator.simulate, plan)
+    result = simulator.simulate(plan)
     assert result.total_cycles > 0
 
 

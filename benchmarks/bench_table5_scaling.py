@@ -18,13 +18,13 @@ def table5_rows(profile):
     return rows
 
 
-def test_benchmark_table5_simulation(benchmark, table5_rows):
-    """Timed body: the 32-core grouped simulation (the largest chip)."""
+def test_benchmark_table5_simulation(table5_rows):
+    """The 32-core grouped simulation (the largest chip)."""
     plan = build_traditional_plan(
         table3_convnet_spec(groups=32), 32, scheme="structure"
     )
     simulator = simulator_for(32)
-    result = benchmark(simulator.simulate, plan)
+    result = simulator.simulate(plan)
     assert result.total_cycles > 0
 
 

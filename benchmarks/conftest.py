@@ -1,10 +1,10 @@
-"""Shared benchmark configuration.
+"""Shared configuration of the paper-table files (``bench_*.py``).
 
-Benchmarks regenerate every table/figure of the paper.  The expensive part —
-training the benchmark networks — runs once per configuration and is cached
-on disk (``$REPRO_CACHE_DIR``, default ``.repro_cache/``), so only the first
-invocation pays for training; the timed bodies measure the simulation and
-analysis kernels.
+They regenerate every table/figure of the paper and assert its qualitative
+claims.  The expensive part — training the benchmark networks — runs once
+per configuration and is cached on disk (``$REPRO_CACHE_DIR``, default
+``.repro_cache/``), so only the first invocation pays for training.  Host
+time is measured by ``benchmarks/e2e``, not here.
 
 Set ``REPRO_PROFILE=fast`` to smoke-test the whole harness in minutes with
 tiny training runs (numbers will be off; plumbing identical).

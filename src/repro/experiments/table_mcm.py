@@ -16,7 +16,7 @@ latency, so goodput is comparable across families.  Because an MCM
 pipeline's steady-state interval is a fraction of the whole-network
 latency, pipelined configurations keep completing within SLO at rates
 where every single-chip layout has saturated — the scale-out claim
-``benchmarks/bench_mcm.py`` gates on.
+``tests/experiments/test_table_mcm.py`` holds on both profiles.
 
 Unlike Table S1's per-scheme frontiers, the frontier here is **global**:
 the question is "what would a deployer run", and the answer is allowed to

@@ -8,7 +8,7 @@ when a *search* picks the recipe per layer and per stage instead:
   chain DP assigns each compute layer its own degree; the searched plan and
   the traditional all-cores plan are then both measured by the exact engine,
   next to the calibration rank correlation that says how much to trust the
-  oracle's ordering (``benchmarks/bench_search.py`` gates it at >= 0.95);
+  oracle's ordering (``tests/plancost/test_calibrate.py`` holds it at >= 0.95);
 * **MCM stage boundaries** — :func:`~repro.search.search_stage_split` races
   the min-max DP split against :func:`~repro.partition.pipeline.\
 balanced_stage_split` per (model, chips, scheme), reporting the measured

@@ -21,7 +21,8 @@ def buffer_reuse_enabled() -> bool:
     Training reallocates the same large intermediates (im2col columns, padded
     inputs) every batch; reusing them avoids the malloc/page-fault cost at the
     price of holding the buffers between steps.  ``REPRO_BUFFER_REUSE=0``
-    restores per-call allocation (benchmarks toggle this to measure the win).
+    restores per-call allocation: the seed conv path, which the conv
+    fast-path equivalence tests use as their reference.
     """
     return os.environ.get("REPRO_BUFFER_REUSE", "1") != "0"
 

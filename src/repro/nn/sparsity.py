@@ -22,17 +22,16 @@ Block operations have two implementations:
   the fused path is property-tested against
   (``tests/nn/test_block_kernels.py`` enforces bit-exact agreement).
 
-``REPRO_FUSED_BLOCKS=0`` disables the fused path globally (benchmarks use it
-to measure the speedup); the per-call path choice is counted in the metrics
-registry under ``sparsity.block_kernel{path=fused|loop}``.  Both paths are
-bit-identical, so auto dispatch is free to pick whichever is faster: the
-fused gather copy only pays for itself once there are enough blocks for the
-loop's per-block Python overhead to dominate (see ``_FUSED_MIN_BLOCKS``).
+The per-call path choice is counted in the metrics registry under
+``sparsity.block_kernel{path=fused|loop}``.  Both paths are bit-identical,
+so auto dispatch is free to pick whichever is faster: the fused gather copy
+only pays for itself once there are enough blocks for the loop's per-block
+Python overhead to dominate (see ``_FUSED_MIN_BLOCKS``).  ``fused=False``
+on a partition forces the loop, which is how the tests reach the reference.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -43,25 +42,16 @@ from ..obs import METRICS
 __all__ = [
     "split_boundaries",
     "block_of",
-    "fused_kernels_enabled",
     "CoreBlockPartition",
     "GroupNormSummary",
 ]
 
-#: Environment switch for the fused (vectorized) block kernels; any value
-#: other than "0" (or unset) leaves them enabled.
-_FUSED_ENV = "REPRO_FUSED_BLOCKS"
-
 #: Auto-dispatch crossover: with fewer than this many (P^2) blocks the
 #: sliced loop's per-block overhead is cheaper than the fused path's gathered
-#: blocked copy (measured near P=8 for the paper's layer sizes, see
-#: benchmarks/bench_train.py), so ``fused=None`` stays on the loop below it.
+#: blocked copy, so ``fused=None`` stays on the loop below it.  On a 1-CPU
+#: x86-64 container the fused regularizer step ran 0.93-1.02x the loop's
+#: speed at P=4 and 2.25-2.95x at P=16.
 _FUSED_MIN_BLOCKS = 64
-
-
-def fused_kernels_enabled() -> bool:
-    """Whether the vectorized block kernels are globally enabled."""
-    return os.environ.get(_FUSED_ENV, "1") != "0"
 
 
 def split_boundaries(total: int, parts: int) -> list[tuple[int, int]]:
@@ -127,10 +117,10 @@ class CoreBlockPartition:
         Number of cores ``P``; the tensor is partitioned into ``P x P`` blocks.
     fused:
         ``None`` (default) picks the fused kernels automatically for uniform
-        partitions with at least ``_FUSED_MIN_BLOCKS`` blocks unless
-        ``REPRO_FUSED_BLOCKS=0``; ``False`` forces the sliced-loop
-        reference; ``True`` demands the fused path (regardless of block
-        count) and raises at construction when the partition is not uniform.
+        partitions with at least ``_FUSED_MIN_BLOCKS`` blocks; ``False``
+        forces the sliced-loop reference; ``True`` demands the fused path
+        (regardless of block count) and raises at construction when the
+        partition is not uniform.
     """
 
     def __init__(
@@ -234,8 +224,8 @@ class CoreBlockPartition:
     def fused_ok(self, arr: np.ndarray) -> bool:
         """Whether the fused kernels apply to ``arr`` on this call.
 
-        Requires a uniform partition, the global/per-partition switch on, and
-        a C-contiguous tensor (the blocked view is a reshape).  Auto dispatch
+        Requires a uniform partition, the per-partition switch on, and a
+        C-contiguous tensor (the blocked view is a reshape).  Auto dispatch
         (``fused=None``) additionally requires ``_FUSED_MIN_BLOCKS`` blocks —
         below that the sliced loop is faster and, being bit-identical, freely
         substitutable.  The choice is counted under
@@ -244,10 +234,7 @@ class CoreBlockPartition:
         if self._fused is not None:
             want = self._fused
         else:
-            want = (
-                fused_kernels_enabled()
-                and self.num_cores * self.num_cores >= _FUSED_MIN_BLOCKS
-            )
+            want = self.num_cores * self.num_cores >= _FUSED_MIN_BLOCKS
         ok = bool(want) and self.uniform and arr.flags.c_contiguous
         METRICS.inc("sparsity.block_kernel", path="fused" if ok else "loop")
         return ok

@@ -19,8 +19,6 @@ records, then a ``{"type": "metrics"}`` snapshot, then one
 ``{"type": "timeseries"}`` record per serving run, then one
 ``{"type": "noc_profile"}`` record per mesh shape — the format
 ``scripts/report_trace.py`` summarizes and :func:`export_perfetto` converts.
-(:mod:`repro.obs.regress`, the benchmark watchdog, is import-on-demand: it
-backs ``scripts/check_bench.py`` rather than run-time collection.)
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ Profiles are collected *after* a drain completes, from the delivered packets'
 routes (every flit of a delivered packet traversed every hop of its
 precomputed XY route), so the per-cycle simulator hot loops are untouched and
 profiling-off behaviour is bit-identical to an uninstrumented engine — the
-equivalence suite and ``BENCH_noc.json`` enforce this.
+equivalence suite (``tests/obs/test_nocprof.py``) enforces this, and with
+profiling off no :class:`NoCProfile` is built
+(``tests/obs/test_disabled_telemetry.py``).
 
 Module-level switches (:func:`enable_noc_profiling`) let the inference engine
 attach a process-global accumulator per mesh shape without threading a

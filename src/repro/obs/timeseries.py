@@ -33,7 +33,8 @@ Memory is bounded no matter how many requests a run serves:
 
 Like tracing, collection is **off by default**: the serving simulator checks
 :func:`timeseries_enabled` once per run and pays one ``is None`` branch per
-event when disabled (budgeted at <2% by ``benchmarks/bench_serve.py``).
+event when disabled, building no series
+(``tests/obs/test_disabled_telemetry.py``).
 Series are registered process-globally (:func:`start_series` /
 :func:`global_timeseries`) so :func:`repro.obs.export_trace` bundles them
 into the JSONL trace, and worker processes ship them back through

@@ -10,9 +10,8 @@ Overhead policy
 ---------------
 Tracing is **off by default** and :func:`span` then returns a shared no-op
 context manager after a single module-flag check, so instrumented hot paths
-pay one branch and no allocation.  The NoC benchmarks
-(``scripts/record_noc_bench.py``) record the disabled-path overhead into
-``BENCH_noc.json`` and assert it stays under 2%.
+pay one branch and no allocation.  ``tests/obs/test_disabled_telemetry.py``
+holds that structurally: with tracing off, no :class:`Span` is ever built.
 
 Usage::
 

@@ -9,7 +9,8 @@ nodes.  This module implements that placement optimization:
 * :func:`placement_cost` — hop-weighted traffic of a candidate placement;
 * :func:`greedy_placement` — place partitions in descending traffic-degree
   order onto the node minimizing incremental cost;
-* :func:`annealed_placement` — simulated-annealing refinement (pair swaps);
+* :func:`annealed_placement` — simulated-annealing refinement (pair swaps),
+  never worse than the identity mapping;
 * :func:`apply_placement` — rewrite a plan's traffic matrices under a
   permutation so the standard simulator evaluates the placed system.
 
@@ -115,12 +116,22 @@ def annealed_placement(
     iterations: int = 2000,
     start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Simulated-annealing pair-swap refinement of a placement."""
+    """Simulated-annealing pair-swap refinement of a placement.
+
+    Starts from ``start`` when given, else from the cheaper of
+    :func:`greedy_placement` and the identity mapping (greedy on a tie), and
+    returns the cheapest placement seen.  The result therefore never costs
+    more than its start, and with ``start=None`` never more than identity.
+    """
     rng = np.random.default_rng(seed)
     p = mesh.num_nodes
-    placement = (
-        start.copy() if start is not None else greedy_placement(traffic, mesh)
-    )
+    if start is not None:
+        placement = start.copy()
+    else:
+        placement = greedy_placement(traffic, mesh)
+        identity = identity_placement(p)
+        if placement_cost(traffic, mesh, identity) < placement_cost(traffic, mesh, placement):
+            placement = identity
     _check_placement(placement, mesh)
     cost = placement_cost(traffic, mesh, placement)
     best, best_cost = placement.copy(), cost

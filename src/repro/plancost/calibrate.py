@@ -13,8 +13,9 @@ persistent drain memo making repeat runs free), and reports
 * the engine/analytic latency **ratio** with error bars (mean ± std, min,
   max) — ``scale`` to convert oracle cycles into engine-comparable cycles;
 * the **Spearman rank correlation** between the two cost vectors — the
-  number ``benchmarks/bench_search.py --strict`` gates at ≥ 0.95, i.e. "the
-  oracle picks (nearly) the same winners the engine would".
+  number ``tests/plancost/test_calibrate.py`` holds at ≥ 0.95 (k = 16) on
+  lenet, convnet and alexnet, i.e. "the oracle picks (nearly) the same
+  winners the engine would".
 
 Sampling always includes the all-``num_cores`` (traditional) anchor config
 plus uniform-random valid configs from a seeded generator, so reports are

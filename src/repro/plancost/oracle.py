@@ -18,10 +18,10 @@ The oracle therefore precomputes two tables —
   :class:`~repro.plancost.batched.BatchedDrainModel` call —
 
 after which costing a batch of configurations is pure integer gathering:
-``batch_cost`` evaluates millions of candidates per second, the ≥50×
-candidate-costing speedup ``benchmarks/bench_search.py`` gates on.  Degrees
-a layer cannot take (group alignment) cost ``inf``, so searches avoid them
-for free.
+``batch_cost`` evaluates millions of candidates per second (the e2e
+``plans`` workload reports ``plancost.batch_cost.candidates_per_s``).
+Degrees a layer cannot take (group alignment) cost ``inf``, so searches
+avoid them for free.
 
 Since both tables come from the degree builder's own rules, the oracle is
 *exact* with respect to the engine's analytical mode by construction: for

@@ -40,7 +40,7 @@ the loop additionally feeds every arrival/dispatch/completion into a
 :class:`~repro.obs.timeseries.ServeTimeSeries` — including per-stage busy
 intervals for pipelined clusters (occupancy/bubble metrics, per-chip
 Perfetto tracks); when off, the cost is one ``is None`` branch per event
-(budgeted by ``benchmarks/bench_serve.py`` and ``bench_mcm.py``).
+and no series is built (``tests/obs/test_disabled_telemetry.py``).
 """
 
 from __future__ import annotations

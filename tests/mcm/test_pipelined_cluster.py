@@ -4,10 +4,12 @@ import pytest
 
 from repro.mcm import McmTopology, PipelineService
 from repro.models import lenet_spec
+from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
+from repro.obs.metrics import percentile
 from repro.serve import PipelinedCluster, build_mcm_cluster
-from repro.serve.scheduler import BatchingScheduler, FIFOScheduler
+from repro.serve.scheduler import BatchingScheduler, FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator
-from repro.serve.workload import LoadGenerator, Request
+from repro.serve.workload import LoadGenerator, PoissonWorkload, Request
 
 
 class FixedWorkload(LoadGenerator):
@@ -130,3 +132,38 @@ class TestPipelinedEventLoop:
         result = ServeSimulator(cluster, FIFOScheduler(), workload).run()
         assert {r.finish for r in result.records} == {180}
         assert {r.replica for r in result.records} == {0, 1}
+
+
+class TestPinnedRuns:
+    """Two seeded lenet runs on 4 chips (structure plans) through the
+    pipelined object loop, 600 Poisson requests each."""
+
+    CASES = {
+        "mcm_2s2p_fifo": ((2, "fifo", 1, 400.0, 7), (600, 1505825, 3972)),
+        "mcm_4s1p_batch": ((4, "batch", 4, 240.0, 11), (600, 2450063, 11485)),
+    }
+
+    @staticmethod
+    def _run(stages, scheduler, batch, rate, seed, ts):
+        spec = lenet_spec()
+        cluster = build_mcm_cluster(spec, 4, stages=stages, scheme="structure")
+        workload = PoissonWorkload(rate, 600, seed=seed, mix={spec.name: 1.0})
+        if ts:
+            enable_timeseries()
+        try:
+            return ServeSimulator(
+                cluster, make_scheduler(scheduler, max_batch=batch), workload,
+                fastpath="off",
+            ).run()
+        finally:
+            disable_timeseries()
+            clear_timeseries()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pinned_outputs(self, case):
+        """Pinned with time series off; turning them on changes no record."""
+        args, pins = self.CASES[case]
+        result = self._run(*args, ts=False)
+        p99 = int(percentile(result.latencies(), 99))
+        assert (result.num_requests, result.makespan, p99) == pins
+        assert self._run(*args, ts=True).records == result.records

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.config import FAST
+from repro.models.factory import build_mlp
 from repro.nn.layers.base import Parameter
 from repro.nn.regularizers import GroupLassoRegularizer
 from repro.nn.sparsity import CoreBlockPartition, split_boundaries
 from repro.obs import METRICS
+from repro.partition.sparsified import layer_block_partitions
 
 
 class _FakeModel:
@@ -204,7 +207,7 @@ class TestDeterministicCorpus:
 
     def test_standard_16_core_partitions_take_fused_path(self):
         """The shapes layer_block_partitions produces at 16 cores must not
-        silently fall back to the loop — CI greps the benchmark for this too."""
+        silently fall back to the loop."""
         for kind, shape in (("dense", (784, 304)), ("conv", (32, 16, 3, 3))):
             partition = CoreBlockPartition(shape, kind, 16)
             assert partition.uniform
@@ -212,6 +215,19 @@ class TestDeterministicCorpus:
             partition.block_norms(np.zeros(shape))
             assert METRICS.counter("sparsity.block_kernel", path="fused") == 1
             assert METRICS.counter("sparsity.block_kernel", path="loop") == 0
+
+        # The fast-profile MLP's own partitions.  Its classifier head cannot
+        # split 10 outputs 16 ways evenly, so only the uniform ones count.
+        model = build_mlp(seed=FAST.seed)
+        uniform = {
+            name: p for name, p in layer_block_partitions(model, 16).items() if p.uniform
+        }
+        assert uniform
+        METRICS.reset()
+        for name, partition in uniform.items():
+            partition.block_norms(model.get_parameter(name).data)
+        assert METRICS.counter("sparsity.block_kernel", path="fused") == len(uniform)
+        assert METRICS.counter("sparsity.block_kernel", path="loop") == 0
 
     def test_auto_dispatch_uses_loop_below_crossover(self):
         """Below _FUSED_MIN_BLOCKS the loop is faster; auto must pick it."""
@@ -225,13 +241,6 @@ class TestDeterministicCorpus:
         METRICS.reset()
         forced.block_norms(np.ones((16, 16)))
         assert METRICS.counter("sparsity.block_kernel", path="fused") == 1
-
-    def test_env_gate_disables_fused(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_BLOCKS", "0")
-        partition = CoreBlockPartition((8, 8), "dense", 4)
-        METRICS.reset()
-        partition.block_norms(np.ones((8, 8)))
-        assert METRICS.counter("sparsity.block_kernel", path="loop") == 1
 
     def test_non_contiguous_input_falls_back(self):
         partition = CoreBlockPartition((8, 8), "dense", 4)

@@ -17,6 +17,8 @@ from repro.noc import (
     uniform_random_traffic,
 )
 
+from .conftest import group_stream_8x8, pair_stream_4x4, saturated_uniform_4x4
+
 
 def run_sim(mesh, packets, config=None):
     sim = NoCSimulator(mesh, config or NoCConfig())
@@ -136,6 +138,21 @@ class TestContention:
         small = run_sim(mesh, uniform_random_traffic(16, 50_000, seed=1).to_packets(NoCConfig()))
         big = run_sim(mesh, uniform_random_traffic(16, 200_000, seed=1).to_packets(NoCConfig()))
         assert big.cycles > small.cycles
+
+
+class TestPinnedBursts:
+    @pytest.mark.parametrize(
+        "burst, cycles",
+        [(pair_stream_4x4, 1191), (group_stream_8x8, 4877), (saturated_uniform_4x4, 464)],
+        ids=["burst_drain_4x4", "burst_drain_8x8", "saturated_4x4"],
+    )
+    def test_drain_cycles(self, burst, cycles):
+        mesh, traffic = burst()
+        cfg = NoCConfig()
+        packets = traffic.to_packets(cfg)
+        stats = run_sim(mesh, packets, cfg)
+        assert stats.packets_delivered == len(packets)
+        assert stats.cycles == cycles
 
 
 class TestAgainstAnalyticalBound:

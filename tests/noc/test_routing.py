@@ -128,3 +128,24 @@ class TestRouteTables:
         with pytest.raises((ValueError, RuntimeError)):
             tables.usage[0, 0] = 99
         assert isinstance(tables.link_index((0, 1)), (int, np.integer))
+
+    def test_link_loads_match_route_walk(self):
+        """The cached-table matmul in ``link_loads`` equals walking each
+        pair's XY route, on the 8x8 group-stream burst."""
+        from repro.noc import NoCConfig
+        from repro.noc.analytical import link_loads, message_flits
+
+        from .conftest import group_stream_8x8
+
+        mesh, traffic = group_stream_8x8()
+        config = NoCConfig()
+        flits = message_flits(traffic.bytes_matrix, config)
+        walked: dict[tuple[int, int], int] = {}
+        for src in range(mesh.num_nodes):
+            for dst in range(mesh.num_nodes):
+                if flits[src, dst]:
+                    path = xy_route_path(mesh, src, dst)
+                    for link in zip(path, path[1:]):
+                        walked[link] = walked.get(link, 0) + int(flits[src, dst])
+        assert walked
+        assert link_loads(traffic, mesh, config) == walked

@@ -157,8 +157,8 @@ class TestPmap:
 
 class TestAdaptiveDispatch:
     def test_single_cpu_falls_back_to_serial(self, monkeypatch):
-        # The BENCH_experiments regression this PR fixes: on a 1-CPU box a
-        # pool can only lose, so a 2-worker request must run in-process.
+        # On a 1-CPU box a pool can only lose, so a 2-worker request must
+        # run in-process.
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         METRICS.reset()
         with pytest.warns(RuntimeWarning):

@@ -87,6 +87,20 @@ class TestAnnealedPlacement:
         annealed = annealed_placement(m, mesh, seed=1, iterations=500)
         assert placement_cost(m, mesh, annealed) <= placement_cost(m, mesh, greedy)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_worse_than_identity(self, seed):
+        """Halo exchange on a 4x4 mesh (40 bytes east-west, 12 north-south):
+        under identity every message travels one hop, the optimum.  Greedy
+        misses it, so annealing seeded from greedy alone returned 1488-1584."""
+        mesh = Mesh2D(4, 4)
+        m = np.zeros((16, 16), dtype=np.int64)
+        for a, b in mesh.links():
+            m[a, b] = 40 if abs(a - b) == 1 else 12
+        assert placement_cost(m, mesh, identity_placement(16)) == 1248
+        assert placement_cost(m, mesh, greedy_placement(m, mesh)) > 1248
+        placement = annealed_placement(m, mesh, seed=seed)
+        assert placement_cost(m, mesh, placement) == 1248
+
     def test_deterministic_given_seed(self):
         mesh = Mesh2D(2, 2)
         m = two_cluster_traffic(4, 100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.models.zoo import convnet_spec, lenet_spec
+from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
 from repro.plancost import (
     PlanCostOracle,
     calibrate,
@@ -80,3 +80,15 @@ class TestCalibrate:
         a = calibrate(lenet_spec(), 16, k=3, seed=7)
         b = calibrate(lenet_spec(), 16, k=3, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "spec_fn, rho",
+        [(lenet_spec, 0.9824), (convnet_spec, 0.9941), (alexnet_spec, 0.9971)],
+        ids=["lenet", "convnet", "alexnet"],
+    )
+    def test_oracle_ranks_like_the_engine(self, spec_fn, rho):
+        """At k=16 the oracle orders candidates as the cycle-exact engine
+        does (Spearman >= 0.95), or the search optimum is fiction."""
+        report = calibrate(spec_fn(), 16, k=16, seed=0)
+        assert report.rank_correlation >= 0.95
+        assert round(report.rank_correlation, 4) == rho

@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.accel import ChipConfig
 from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
+from repro.partition import build_traditional_plan
 from repro.plancost import PlanCostOracle
 from repro.search import search_layer_degrees
+from repro.sim.engine import InferenceSimulator, SimConfig
 
 
 class TestOptimality:
@@ -48,6 +51,28 @@ class TestNeverWorse:
         result = search_layer_degrees(spec_fn(), 16)
         assert result.predicted_cycles <= result.anchor_cycles
         assert result.predicted_speedup >= 1.0
+
+
+class TestEngineCycles:
+    """The searched plan under the cycle-exact engine, on the paper's
+    16-core chip: pinned, and never slower than the traditional plan."""
+
+    @pytest.mark.parametrize(
+        "spec_fn, searched, traditional",
+        [
+            (lenet_spec, 2146, 2162),
+            (convnet_spec, 6393, 6515),
+            (alexnet_spec, 302533, 302533),
+        ],
+        ids=["lenet", "convnet", "alexnet"],
+    )
+    def test_searched_plan_pinned_and_not_slower(self, spec_fn, searched, traditional):
+        spec = spec_fn()
+        sim = InferenceSimulator(ChipConfig.table2(16), SimConfig())
+        measured = sim.simulate(search_layer_degrees(spec, 16).plan).total_cycles
+        baseline = sim.simulate(build_traditional_plan(spec, 16)).total_cycles
+        assert measured <= baseline
+        assert (measured, baseline) == (searched, traditional)
 
 
 class TestResultContract:

@@ -99,8 +99,9 @@ class TestSearchStageSplit:
 
         convnet's balanced split cuts right after the fattest activation,
         paying a ~4k-cycle inter-chip transfer every interval; the DP split
-        avoids it.  ``benchmarks/bench_mcm.py`` records this same win.
+        avoids it, cutting the interval from 5847 to 3809 cycles.
         """
         result = search_stage_split(convnet_spec(), McmTopology.build(4))
         assert result.used == "searched"
         assert result.interval_cycles < result.balanced_interval
+        assert (result.balanced_interval, result.interval_cycles) == (5847, 3809)

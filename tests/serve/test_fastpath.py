@@ -12,7 +12,8 @@ state, and asserts full equality.
 
 Eligibility is also pinned: closed-loop workloads and custom schedulers
 must fall back to the object loop under ``auto`` and raise under
-``force``.
+``force``.  So are the makespans of three seeded streams of 100k to 1M
+requests.
 """
 
 from __future__ import annotations
@@ -114,6 +115,27 @@ def test_fastpath_matches_object_loop(kind, scheduler, gen, rate, n, seed, ts):
     # Full time-series equality — windows, per-replica depth, and the
     # cumulative block all derive from the same event stream.
     assert fast_series == ref_series
+
+
+@pytest.mark.parametrize(
+    "scheduler, batch, rate, n, seed, makespan",
+    [
+        pytest.param("fifo", 1, 120.0, 100_000, 7, 832_800_620, id="fifo_100k"),
+        pytest.param("batch", 4, 240.0, 100_000, 11, 416_859_833, id="batch_100k"),
+        pytest.param("fifo", 1, 120.0, 1_000_000, 7, 8_330_441_659, id="fifo_1m"),
+    ],
+)
+def test_pinned_columnar_runs(scheduler, batch, rate, n, seed, makespan):
+    """Seeded lenet streams at scale on the forced columnar loop: every
+    request completes, and the makespan is pinned."""
+    workload = PoissonWorkload(rate, n, seed=seed, mix={"lenet": 1.0})
+    result = ServeSimulator(
+        _cluster("plain"), make_scheduler(scheduler, max_batch=batch), workload,
+        fastpath="force",
+    ).run()
+    assert result.columns is not None
+    assert result.num_requests == n
+    assert result.makespan == makespan
 
 
 def test_summary_mode_keeps_report_and_scalars():

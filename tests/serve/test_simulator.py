@@ -1,8 +1,15 @@
-"""Event-loop correctness against hand-computed traces."""
+"""Event-loop correctness against hand-computed traces and pinned runs."""
+
+import dataclasses
+import hashlib
+import json
 
 import pytest
 
-from repro.serve.cluster import Cluster, PlanService
+from repro.models import lenet_spec
+from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
+from repro.obs.metrics import percentile
+from repro.serve.cluster import Cluster, PlanService, build_spec_cluster
 from repro.serve.scheduler import BatchingScheduler, FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator, simulate_serving
 from repro.serve.slo import SLO
@@ -133,3 +140,52 @@ class TestClosedLoop:
         result = ServeSimulator(cluster, FIFOScheduler(), workload).run()
         assert result.num_requests == 40
         assert result.throughput_per_megacycle <= 1e6 / latency + 1
+
+
+def _records_digest(records) -> str:
+    """SHA-256 of every field of every record, in completion order."""
+    blob = json.dumps([dataclasses.astuple(r) for r in records]).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+class TestPinnedRuns:
+    """Two seeded lenet runs on the object loop: 16 cores in 4-core groups,
+    2400 Poisson requests.  Any change to the loop's arithmetic or event
+    order moves a pin; time-series collection must move none."""
+
+    CASES = {
+        "lenet_fifo": (
+            ("fifo", 1, 120.0, 7),
+            (2400, 20078404, 3613,
+             "28fd042063ac8aee4d8ee41273f5b6cfab750564f650b1c518b67307482931af"),
+        ),
+        "lenet_batch": (
+            ("batch", 4, 240.0, 11),
+            (2400, 9888971, 3721,
+             "1565faacae33a8c13fe19b7f925daa5f41246f8d42f3d2271865c7ba9395f8ce"),
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def cluster(self):
+        return build_spec_cluster(lenet_spec(), 16, 4)
+
+    @pytest.mark.parametrize("ts", [False, True], ids=["ts-off", "ts-on"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_pinned_outputs(self, cluster, case, ts):
+        (scheduler, batch, rate, seed), pins = self.CASES[case]
+        workload = PoissonWorkload(rate, 2400, seed=seed, mix={"lenet": 1.0})
+        if ts:
+            enable_timeseries()
+        try:
+            result = ServeSimulator(
+                cluster, make_scheduler(scheduler, max_batch=batch), workload,
+                fastpath="off",
+            ).run()
+        finally:
+            disable_timeseries()
+            clear_timeseries()
+        assert result.columns is None  # the object loop, not the columnar one
+        p99 = int(percentile(result.latencies(), 99))
+        digest = _records_digest(result.records)
+        assert (result.num_requests, result.makespan, p99, digest) == pins

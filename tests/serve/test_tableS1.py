@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import FAST
+from repro.experiments.config import FAST, PAPER
 from repro.experiments.tableS1 import render_tableS1, run_tableS1
 from repro.serve.cluster import clear_service_memo
 
@@ -18,6 +18,12 @@ def fresh_memo():
 def rows():
     clear_service_memo()
     return run_tableS1(profile=FAST)
+
+
+@pytest.fixture(scope="module")
+def paper_rows():
+    clear_service_memo()
+    return run_tableS1(profile=PAPER)
 
 
 class TestSweepShape:
@@ -61,6 +67,36 @@ class TestQoSCrossover:
         full = next(r for r in high if r.group_cores == 16)
         assert full.violation_rate > 0.5
         assert best.goodput > 2 * full.goodput
+
+    def test_crossover_at_paper_profile(self, paper_rows):
+        """The same crossover on the paper profile's load grid: the largest
+        group has the best p50 at the lowest load, and a smaller one the
+        best goodput at the highest."""
+        trad = [r for r in paper_rows if r.scheme == "traditional"]
+        low = min(r.load_factor for r in trad)
+        high = max(r.load_factor for r in trad)
+        largest = max(r.group_cores for r in trad)
+        at_low = [r for r in trad if r.load_factor == low]
+        at_high = [r for r in trad if r.load_factor == high]
+        assert min(at_low, key=lambda r: r.p50).group_cores == largest
+        assert max(at_high, key=lambda r: r.goodput).group_cores < largest
+
+    @pytest.mark.parametrize("rows_fixture", ["rows", "paper_rows"])
+    def test_structure_dominates_traditional_tails(self, rows_fixture, request):
+        """Structure plans move less traffic, so at every geometry and load
+        their p99 is no higher than the traditional scheme's."""
+        by_key = {
+            (r.scheme, r.group_cores, r.load_factor): r
+            for r in request.getfixturevalue(rows_fixture)
+        }
+        pairs = [
+            (row, by_key[("traditional", g, f)])
+            for (scheme, g, f), row in by_key.items()
+            if scheme == "structure" and ("traditional", g, f) in by_key
+        ]
+        assert pairs
+        for structure, traditional in pairs:
+            assert structure.p99 <= traditional.p99
 
     def test_pareto_frontier_marked_per_scheme(self, rows):
         for scheme in ("traditional", "structure"):

@@ -48,8 +48,8 @@ class TestFloat32EndToEnd:
         assert dt64 == np.dtype(np.float64)
         assert dt32 == np.dtype(np.float32)
         # Precision changes rounding, not learnability: the fast-profile MLP
-        # must land within a few points of the float64 run.
-        assert acc32 == pytest.approx(acc64, abs=0.1)
+        # must land within two points of the float64 run, either way.
+        assert abs(acc32 - acc64) <= 0.02
 
     def test_float32_sparsified_training_produces_exact_zeros(self, dataset):
         model = build_mlp(seed=FAST.seed)
