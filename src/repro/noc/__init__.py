@@ -5,10 +5,10 @@ credit flow control, dimension-ordered routing, burst traffic traces, and a
 fast analytical model for full-scale traffic.
 """
 
-from .analytical import AnalyticalEstimate, estimate_drain_cycles, link_loads, message_flits
+from .analytical import AnalyticalEstimate, estimate_drain_cycles, link_loads
 from .energy import EnergyBreakdown, NoCEnergyModel
 from .network import EnergyEvents, NoCSimulator, NoCStats
-from .packet import Flit, NoCConfig, Packet, segment_message
+from .packet import Flit, NoCConfig, Packet, message_flits, segment_message
 from .reference import ReferenceNoCSimulator
 from .routing import RouteTables, route_tables, xy_route_path, xy_route_port, xy_route_ports
 from .topology import Mesh2D, mesh_dims

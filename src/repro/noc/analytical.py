@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packet import NoCConfig, segment_message
+from .packet import NoCConfig, message_flits
 from .routing import route_tables
 from .topology import Mesh2D
 from .traffic import TrafficMatrix
@@ -51,34 +51,11 @@ class AnalyticalEstimate:
         return max(self.source_bound, self.sink_bound, self.link_bound) + self.head_latency
 
 
-def message_flits(bytes_matrix: np.ndarray, config: NoCConfig) -> np.ndarray:
-    """Element-wise flit count of each (src, dst) message, any array shape.
-
-    A message of ``b > 0`` bytes segments into ``ceil(b / packet_payload)``
-    packets, each contributing one head flit, plus ``ceil(b / flit_bytes)``
-    payload flits in total (the packet payload capacity is a whole number of
-    flits, so payload flits never fragment across the split).  This is the
-    closed form of summing ``Packet.num_flits`` over
-    :func:`~repro.noc.packet.segment_message`, and the vectorized inner loop
-    of both the per-burst estimate below and the batched plan-cost oracle.
-    """
-    b = np.asarray(bytes_matrix).astype(np.int64, copy=False)
-    heads = -(b // -config.packet_payload_bytes)
-    payload = -(b // -config.flit_bytes)
-    return heads + payload
-
-
-def _flits_of(num_bytes: int, src: int, dst: int, config: NoCConfig) -> int:
-    """Reference (packet-walking) flit count; tests pin it to message_flits."""
-    if num_bytes == 0:
-        return 0
-    return sum(p.num_flits for p in segment_message(src, dst, num_bytes, config))
-
-
 def link_loads(
     traffic: TrafficMatrix, mesh: Mesh2D, config: NoCConfig
 ) -> dict[tuple[int, int], int]:
     """Flits crossing each unidirectional link under XY routing."""
+    traffic._check_mesh(mesh)
     tables = route_tables(mesh)
     flits = message_flits(traffic.bytes_matrix, config).reshape(-1)
     # Burst matrices are usually sparse (a layer's redistribution touches a
@@ -96,10 +73,7 @@ def estimate_drain_cycles(
 ) -> AnalyticalEstimate:
     """Analytical lower-bound drain time of a burst traffic matrix."""
     config = config or NoCConfig()
-    if mesh.num_nodes != traffic.num_nodes:
-        raise ValueError(
-            f"mesh has {mesh.num_nodes} nodes, traffic {traffic.num_nodes}"
-        )
+    traffic._check_mesh(mesh)
     rate = config.physical_channels
     tables = route_tables(mesh)
 

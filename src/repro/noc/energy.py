@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .network import EnergyEvents, NoCStats
-from .packet import NoCConfig
+from .packet import NoCConfig, message_flits
 from .topology import Mesh2D
 from .traffic import TrafficMatrix
 
@@ -94,11 +94,8 @@ class NoCEnergyModel:
         cross-check of the simulator's event accounting.
         """
         flit_hops = traffic.total_flit_hops(mesh, config)
-        total_flits = sum(
-            p.num_flits for p in traffic.to_packets(config)
-        )
         # Hop events plus the terminal ejection events at the destination.
-        rw = flit_hops + total_flits
+        rw = flit_hops + int(message_flits(traffic.bytes_matrix, config).sum())
         return EnergyBreakdown(
             buffer_j=rw * (self.buffer_write_j + self.buffer_read_j),
             crossbar_j=rw * self.crossbar_j,

@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count
 
-__all__ = ["NoCConfig", "Packet", "Flit", "segment_message"]
+import numpy as np
+
+__all__ = ["NoCConfig", "Packet", "Flit", "segment_message", "message_flits"]
 
 _packet_ids = count()
 
@@ -151,3 +153,21 @@ def segment_message(
         )
         remaining -= chunk
     return packets
+
+
+def message_flits(bytes_matrix: np.ndarray, config: NoCConfig) -> np.ndarray:
+    """Element-wise flit count of each (src, dst) message, any array shape.
+
+    The closed form of summing ``Packet.num_flits`` over
+    :func:`segment_message`: a message of ``b > 0`` bytes segments into
+    ``ceil(b / packet_payload)`` packets, each contributing one head flit,
+    plus ``ceil(b / flit_bytes)`` payload flits in total (the packet payload
+    capacity is a whole number of flits, so payload flits never fragment
+    across the split).  Every flit count outside the cycle simulator's
+    packet trace comes from here: the engine's per-burst total, flit-hops,
+    analytical energy, the drain estimate and the batched plan-cost oracle.
+    """
+    b = np.asarray(bytes_matrix).astype(np.int64, copy=False)
+    heads = -(b // -config.packet_payload_bytes)
+    payload = -(b // -config.flit_bytes)
+    return heads + payload

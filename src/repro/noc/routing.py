@@ -5,10 +5,12 @@ routing is deterministic and deadlock-free on a mesh, which is why it is both
 the paper's choice (Table II) and the standard BookSim2 default.
 
 Because the routes depend only on the mesh shape, every derived table —
-pairwise hop distances, the link list, and which links each (src, dst)
-route crosses — is precomputed once per shape and cached
-(:func:`route_tables`).  The per-burst :func:`repro.noc.analytical.link_loads`
-and the batched plan-cost oracle (:mod:`repro.plancost`) both reduce to a
+pairwise hop distances (the mesh's own cached
+:meth:`~repro.noc.topology.Mesh2D.distance_matrix`), the link list, and
+which links each (src, dst) route crosses — is precomputed once per shape
+and cached (:func:`route_tables`).  Flit-hop totals are one product with
+the hop table; the per-burst :func:`repro.noc.analytical.link_loads` and
+the batched plan-cost oracle (:mod:`repro.plancost`) both reduce to a
 single integer matmul against the cached route-usage matrix instead of
 walking ``xy_route_path`` per pair.
 """
@@ -120,20 +122,17 @@ def _route_tables(width: int, height: int) -> RouteTables:
     n = mesh.num_nodes
     links = tuple(mesh.links())
     index = {link: l for l, link in enumerate(links)}
-    hops = np.zeros((n, n), dtype=np.int64)
     usage = np.zeros((n * n, len(links)), dtype=np.int64)
     for src in range(n):
         for dst in range(n):
-            if src == dst:
-                continue
             path = xy_route_path(mesh, src, dst)
-            hops[src, dst] = len(path) - 1
             row = usage[src * n + dst]
             for a, b in zip(path, path[1:]):
                 row[index[(a, b)]] = 1
-    hops.setflags(write=False)
     usage.setflags(write=False)
-    return RouteTables(width=width, height=height, hops=hops, links=links, usage=usage)
+    return RouteTables(
+        width=width, height=height, hops=mesh.distance_matrix(), links=links, usage=usage
+    )
 
 
 def route_tables(mesh: Mesh2D) -> RouteTables:

@@ -11,6 +11,7 @@ Manhattan distance; the paper calls this the "Hamming distance" of the cores.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,15 @@ PORT_NAMES = ("local", "east", "west", "north", "south")
 
 #: Opposite direction of each port (for wiring output -> downstream input).
 OPPOSITE = {EAST: WEST, WEST: EAST, NORTH: SOUTH, SOUTH: NORTH}
+
+
+@functools.lru_cache(maxsize=None)
+def _distance_matrix(width: int, height: int) -> np.ndarray:
+    nodes = np.arange(width * height, dtype=np.int64)
+    x, y = nodes % width, nodes // width
+    d = np.abs(x[:, None] - x) + np.abs(y[:, None] - y)
+    d.setflags(write=False)
+    return d
 
 
 def mesh_dims(num_nodes: int) -> tuple[int, int]:
@@ -77,13 +87,8 @@ class Mesh2D:
         return abs(ax - bx) + abs(ay - by)
 
     def distance_matrix(self) -> np.ndarray:
-        """(N, N) matrix of pairwise hop distances."""
-        n = self.num_nodes
-        d = np.zeros((n, n), dtype=np.int64)
-        for a in range(n):
-            for b in range(n):
-                d[a, b] = self.hop_distance(a, b)
-        return d
+        """(N, N) matrix of pairwise hop distances (read-only, cached per shape)."""
+        return _distance_matrix(self.width, self.height)
 
     def neighbor(self, node: int, port: int) -> int | None:
         """Adjacent node through an output port, or None at the mesh edge."""

@@ -2,9 +2,11 @@
 
 A :class:`TrafficMatrix` records how many bytes each core sends to each other
 core during one layer transition.  The partitioning package produces one
-matrix per compute layer; this module turns matrices into packet traces for
-the cycle-level simulator and provides the synthetic patterns used to
-validate the NoC model against known analytical behaviour.
+matrix per compute layer.  Its flit-hop and distance figures are whole-array
+closed forms: :func:`~repro.noc.packet.message_flits` times the cached XY hop
+table.  :meth:`TrafficMatrix.to_packets` builds a packet trace only as input
+to the cycle-level simulator.  The module also provides the synthetic
+patterns used to validate the NoC model against known analytical behaviour.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .packet import NoCConfig, Packet, segment_message
+from .packet import NoCConfig, Packet, message_flits, segment_message
+from .routing import route_tables
 from .topology import Mesh2D
 
 __all__ = ["TrafficMatrix", "uniform_random_traffic", "transpose_traffic", "neighbor_traffic"]
@@ -48,36 +51,26 @@ class TrafficMatrix:
     def total_bytes(self) -> int:
         return int(self.bytes_matrix.sum())
 
-    def total_flit_hops(self, mesh: Mesh2D, config: NoCConfig) -> int:
-        """Payload+head flits times hops, the first-order energy/load proxy."""
+    def _check_mesh(self, mesh: Mesh2D) -> None:
+        """Reject a mesh whose node count differs from the matrix."""
         if mesh.num_nodes != self.num_nodes:
             raise ValueError(
-                f"mesh has {mesh.num_nodes} nodes, matrix {self.num_nodes}"
+                f"mesh has {mesh.num_nodes} nodes, traffic {self.num_nodes}"
             )
-        total = 0
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                b = int(self.bytes_matrix[src, dst])
-                if b == 0:
-                    continue
-                flits = sum(
-                    p.num_flits for p in segment_message(src, dst, b, config)
-                )
-                total += flits * mesh.hop_distance(src, dst)
-        return total
+
+    def total_flit_hops(self, mesh: Mesh2D, config: NoCConfig) -> int:
+        """Payload+head flits times hops, the first-order energy/load proxy."""
+        self._check_mesh(mesh)
+        flits = message_flits(self.bytes_matrix, config)
+        return int((flits * route_tables(mesh).hops).sum())
 
     def weighted_average_distance(self, mesh: Mesh2D) -> float:
         """Mean hop distance weighted by bytes moved (0 when no traffic)."""
+        self._check_mesh(mesh)
         total = self.total_bytes
         if total == 0:
             return 0.0
-        acc = 0.0
-        for src in range(self.num_nodes):
-            for dst in range(self.num_nodes):
-                b = int(self.bytes_matrix[src, dst])
-                if b:
-                    acc += b * mesh.hop_distance(src, dst)
-        return acc / total
+        return int((self.bytes_matrix * route_tables(mesh).hops).sum()) / total
 
     def to_packets(
         self, config: NoCConfig, injection_cycle: int = 0
@@ -85,7 +78,9 @@ class TrafficMatrix:
         """Segment every (src, dst) message into a burst packet trace.
 
         All packets share one injection cycle, modelling the synchronization
-        burst at a layer transition (§III.B of the paper).
+        burst at a layer transition (§III.B of the paper).  The trace is the
+        cycle-level simulator's input; flit counts come from
+        :func:`~repro.noc.packet.message_flits` instead.
         """
         packets: list[Packet] = []
         for src in range(self.num_nodes):

@@ -45,7 +45,7 @@ def distance_strength_mask(
     exponent controls how aggressively long-distance blocks are prioritized
     for pruning; 1.0 is linear in distance (the paper's description), larger
     exponents concentrate pruning on the farthest pairs (an ablation this
-    repo explores in ``benchmarks/bench_ablation_mask_exponent.py``).
+    repo explores in ``benchmarks/bench_ablations.py::test_mask_exponent_claims``).
 
     With ``normalize_mean`` (default) the mask is scaled so its mean
     off-diagonal strength is 1 — the same *average* sparsity pressure as the

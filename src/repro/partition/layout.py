@@ -38,7 +38,9 @@ class ProducerLayout:
     ``bounds[i]`` is the (start, stop) range of input indices (channels for
     conv layers, flat features for dense layers) resident on core ``i``, and
     ``values_per_index`` the number of 16-bit values behind each index (the
-    feature-map spatial size for conv inputs, 1 for dense inputs).
+    feature-map spatial size for conv inputs, 1 for dense inputs).  The
+    non-empty ranges tile the input indices contiguously and in core order;
+    cores left idle by a lower degree hold empty ranges.
     """
 
     bounds: tuple[tuple[int, int], ...]
@@ -112,6 +114,10 @@ def traffic_from_needs(
     ``needs[c, j]`` is True when consumer core ``j`` requires input index
     ``c``.  Inputs a core produces itself never cross the NoC.  A ``None``
     layout (first layer) yields zero traffic.
+
+    Since the layout's non-empty slices tile the input rows in order, the
+    indices each producer sends are one segment sum of the need table.  A
+    layout that breaks the tiling is rejected rather than miscounted.
     """
     if layout is None:
         p = needs.shape[1]
@@ -121,16 +127,18 @@ def traffic_from_needs(
         raise ValueError(
             f"need table has {needs.shape[1]} consumer columns, layout has {p} cores"
         )
-    per_index_bytes = layout.values_per_index * bytes_per_value
+    starts, stops = np.array(layout.bounds, dtype=np.int64).reshape(p, 2).T
+    producers = np.flatnonzero(stops > starts)
+    edges = np.append(starts[producers], needs.shape[0])
+    if edges[0] != 0 or np.any(edges[1:] != stops[producers]):
+        raise ValueError(
+            f"layout bounds {layout.bounds} do not tile {needs.shape[0]} input rows"
+        )
     m = np.zeros((p, p), dtype=np.int64)
-    for producer, (start, stop) in enumerate(layout.bounds):
-        if stop <= start:
-            continue
-        counts = needs[start:stop, :].sum(axis=0)  # indices sent to each consumer
-        for consumer in range(p):
-            if consumer == producer:
-                continue
-            m[producer, consumer] += int(counts[consumer]) * per_index_bytes
+    # m[i, j] = bytes of producer i's inputs that consumer j needs.
+    m[producers] = np.add.reduceat(needs, edges[:-1], axis=0, dtype=np.int64)
+    m *= layout.values_per_index * bytes_per_value
+    np.fill_diagonal(m, 0)
     return TrafficMatrix(m, label=label)
 
 

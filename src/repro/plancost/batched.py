@@ -1,8 +1,8 @@
 """Batched (struct-of-arrays) kernels behind the plan-cost oracle.
 
 Costing one candidate plan through :class:`~repro.sim.engine.InferenceSimulator`
-walks python objects: per-core ``CoreWorkload`` dataclasses, per-pair packet
-segmentation, per-link route walks.  A parallelization *search* needs
+walks python objects: per-core ``CoreWorkload`` dataclasses, then one traffic
+matrix and one drain lookup per layer.  A parallelization *search* needs
 thousands-to-millions of candidate costs, so this module lifts the two hot
 formulas into numpy over whole candidate grids at once, in the columnar
 idiom of :mod:`repro.serve.fastpath`:
@@ -14,7 +14,7 @@ idiom of :mod:`repro.serve.fastpath`:
 * :class:`BatchedDrainModel` — the analytical drain estimate
   (:func:`repro.noc.analytical.estimate_drain_cycles`) over a stack of
   traffic matrices.  Flit counts come from the closed form
-  :func:`~repro.noc.analytical.message_flits`; per-link loads are a single
+  :func:`~repro.noc.packet.message_flits`; per-link loads are a single
   integer matmul against the cached :func:`~repro.noc.routing.route_tables`
   usage matrix; source/sink/link bounds and the head-latency term are
   whole-stack reductions.
@@ -31,8 +31,8 @@ import numpy as np
 
 from ..accel.core import AcceleratorConfig
 from ..models.spec import LayerSpec
-from ..noc.analytical import AnalyticalEstimate, message_flits
-from ..noc.packet import NoCConfig
+from ..noc.analytical import AnalyticalEstimate
+from ..noc.packet import NoCConfig, message_flits
 from ..noc.routing import route_tables
 from ..noc.topology import Mesh2D
 

@@ -61,7 +61,7 @@ from ..noc.analytical import AnalyticalEstimate, estimate_drain_cycles
 from ..obs import METRICS, nocprof, span
 from ..noc.energy import EnergyBreakdown
 from ..noc.network import EnergyEvents, NoCSimulator, NoCStats
-from ..noc.packet import NoCConfig
+from ..noc.packet import NoCConfig, message_flits
 from ..noc.topology import Mesh2D
 from ..noc.traffic import TrafficMatrix
 from ..partition.plan import LayerPlan, ModelParallelPlan
@@ -332,33 +332,29 @@ class InferenceSimulator:
         if traffic.total_bytes == 0:
             return 0, 0, EnergyBreakdown(0, 0, 0, 0), "none"
 
-        total_flits = sum(p.num_flits for p in traffic.to_packets(cfg))
+        total_flits = int(message_flits(traffic.bytes_matrix, cfg).sum())
         mode = self.config.comm_mode
         if mode == "auto":
             mode = "cycle" if total_flits <= self.config.max_cycle_sim_flits else "scaled-cycle"
-
-        if mode == "analytical":
-            est = self._drain_estimate(traffic)
-            energy = chip.noc_energy.analytical_energy(traffic, chip.mesh, cfg)
-            flit_hops = traffic.total_flit_hops(chip.mesh, cfg)
-            return est.cycles * cfg.core_clock_divider, flit_hops, energy, "analytical"
 
         if mode == "cycle":
             noc_cycles, flit_hops, energy = self._cycle_sim(traffic)
             return noc_cycles * cfg.core_clock_divider, flit_hops, energy, "cycle"
 
-        # scaled-cycle: simulate a scaled pattern and extrapolate linearly in
-        # load above the zero-load head latency.
-        scale = self.config.max_cycle_sim_flits / total_flits
-        scaled = traffic.scaled(scale)
-        noc_cycles, _, _ = self._cycle_sim(scaled)
-        head = self._drain_estimate(traffic).head_latency
-        drain = max(0, noc_cycles - head)
-        noc_cycles_full = int(drain / scale) + head
-        # Energy scales exactly with the real traffic (analytical accounting).
+        if mode == "analytical":
+            noc_cycles = self._drain_estimate(traffic).cycles
+        else:
+            # scaled-cycle: simulate a scaled pattern and extrapolate linearly
+            # in load above the zero-load head latency.
+            scale = self.config.max_cycle_sim_flits / total_flits
+            scaled_cycles, _, _ = self._cycle_sim(traffic.scaled(scale))
+            head = self._drain_estimate(traffic).head_latency
+            noc_cycles = int(max(0, scaled_cycles - head) / scale) + head
+        # Energy and flit-hops follow the real traffic exactly (analytical
+        # accounting).
         energy = chip.noc_energy.analytical_energy(traffic, chip.mesh, cfg)
         flit_hops = traffic.total_flit_hops(chip.mesh, cfg)
-        return noc_cycles_full * cfg.core_clock_divider, flit_hops, energy, "scaled-cycle"
+        return noc_cycles * cfg.core_clock_divider, flit_hops, energy, mode
 
     def _drain_estimate(self, traffic: TrafficMatrix) -> AnalyticalEstimate:
         """Analytical estimate for one burst, memoized when comm_cache is on."""

@@ -11,6 +11,7 @@ from repro.noc import (
     transpose_traffic,
     uniform_random_traffic,
 )
+from repro.noc.analytical import link_loads
 
 
 def simple_matrix(n=4, value=1000):
@@ -90,6 +91,20 @@ class TestTrafficMatrix:
     def test_mesh_size_mismatch(self):
         with pytest.raises(ValueError):
             simple_matrix().total_flit_hops(Mesh2D(3, 3), NoCConfig())
+
+    def test_weighted_average_distance_mesh_mismatch(self):
+        # On a 3x3 mesh node 3 sits one hop from node 0, not two: a silent
+        # 1.0 instead of the 2x2 mesh's 1.5.
+        m = np.zeros((4, 4), dtype=np.int64)
+        m[0, 1] = m[0, 3] = 100
+        with pytest.raises(ValueError, match="mesh has 9 nodes, traffic 4"):
+            TrafficMatrix(m).weighted_average_distance(Mesh2D(3, 3))
+
+    def test_link_loads_mesh_mismatch(self):
+        m = np.zeros((4, 4), dtype=np.int64)
+        m[0, 3] = 100
+        with pytest.raises(ValueError, match="mesh has 9 nodes, traffic 4"):
+            link_loads(TrafficMatrix(m), Mesh2D(3, 3), NoCConfig())
 
 
 class TestPatterns:
