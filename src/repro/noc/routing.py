@@ -10,9 +10,10 @@ pairwise hop distances (the mesh's own cached
 which links each (src, dst) route crosses — is precomputed once per shape
 and cached (:func:`route_tables`).  Flit-hop totals are one product with
 the hop table; the per-burst :func:`repro.noc.analytical.link_loads` and
-the batched plan-cost oracle (:mod:`repro.plancost`) both reduce to a
-single integer matmul against the cached route-usage matrix instead of
-walking ``xy_route_path`` per pair.
+the batched plan-cost oracle (:mod:`repro.plancost`) both reduce to one
+matmul against the cached route-usage matrix instead of walking
+``xy_route_path`` per pair: an integer one per burst, and a float64 (BLAS)
+one over a whole stack of bursts, exact below 2**53 flits per burst.
 """
 
 from __future__ import annotations

@@ -113,33 +113,58 @@ def traffic_from_needs(
 
     ``needs[c, j]`` is True when consumer core ``j`` requires input index
     ``c``.  Inputs a core produces itself never cross the NoC.  A ``None``
-    layout (first layer) yields zero traffic.
-
-    Since the layout's non-empty slices tile the input rows in order, the
-    indices each producer sends are one segment sum of the need table.  A
-    layout that breaks the tiling is rejected rather than miscounted.
+    layout (first layer) yields zero traffic.  The one-layout case of
+    :func:`_layouts_traffic`, which rejects a layout that does not tile the
+    need table's rows.
     """
     if layout is None:
         p = needs.shape[1]
         return TrafficMatrix(np.zeros((p, p), dtype=np.int64), label=label)
-    p = layout.num_cores
-    if needs.shape[1] != p:
-        raise ValueError(
-            f"need table has {needs.shape[1]} consumer columns, layout has {p} cores"
-        )
-    starts, stops = np.array(layout.bounds, dtype=np.int64).reshape(p, 2).T
-    producers = np.flatnonzero(stops > starts)
-    edges = np.append(starts[producers], needs.shape[0])
-    if edges[0] != 0 or np.any(edges[1:] != stops[producers]):
-        raise ValueError(
-            f"layout bounds {layout.bounds} do not tile {needs.shape[0]} input rows"
-        )
-    m = np.zeros((p, p), dtype=np.int64)
-    # m[i, j] = bytes of producer i's inputs that consumer j needs.
-    m[producers] = np.add.reduceat(needs, edges[:-1], axis=0, dtype=np.int64)
-    m *= layout.values_per_index * bytes_per_value
-    np.fill_diagonal(m, 0)
-    return TrafficMatrix(m, label=label)
+    return TrafficMatrix(_layouts_traffic([layout], needs, bytes_per_value)[0], label=label)
+
+
+def _layouts_traffic(
+    layouts: Sequence[ProducerLayout], needs: np.ndarray, bytes_per_value: int
+) -> np.ndarray:
+    """``(len(layouts), P, P)`` byte matrices of one boolean need table.
+
+    Each layout's non-empty slices tile the need table's rows in order, so
+    the indices producer ``i`` sends are one segment of rows, summed per
+    consumer column.  The layouts differ only in their slice edges: the
+    table is summed once between the union of every layout's edges (one
+    ``np.add.reduceat``), and each layout's segment sums are differences of
+    the running totals at its own edges.  A layout that breaks the tiling
+    is rejected rather than miscounted.
+    """
+    rows, p = needs.shape
+    cuts = []
+    for layout in layouts:
+        if layout.num_cores != p:
+            raise ValueError(
+                f"need table has {p} consumer columns, layout has {layout.num_cores} cores"
+            )
+        producers = [core for core, (start, stop) in enumerate(layout.bounds) if stop > start]
+        edges = [0] + [layout.bounds[core][1] for core in producers]
+        if [layout.bounds[core][0] for core in producers] != edges[:-1] or edges[-1] != rows:
+            raise ValueError(f"layout bounds {layout.bounds} do not tile {rows} input rows")
+        cuts.append((producers, edges))
+    union = sorted({edge for _, edges in cuts for edge in edges})
+    # A segment holds at most ``rows`` needs: int32 is exact below 2**31 rows.
+    sums = np.add.reduceat(needs.view(np.uint8), union[:-1], axis=0, dtype=np.int32)
+    if len(cuts) == 1:
+        segments = [sums]  # the union is the layout's own edges
+    else:
+        totals = np.zeros((len(union), p), dtype=np.int64)
+        np.cumsum(sums, axis=0, out=totals[1:])
+        position = {edge: i for i, edge in enumerate(union)}
+        segments = [np.diff(totals[[position[e] for e in edges]], axis=0) for _, edges in cuts]
+    m = np.zeros((len(layouts), p, p), dtype=np.int64)
+    for k, (layout, (producers, _), segment) in enumerate(zip(layouts, cuts, segments)):
+        # m[k, i, j] = bytes of producer i's inputs that consumer j needs.
+        m[k, producers] = segment
+        m[k] *= layout.values_per_index * bytes_per_value
+    m.reshape(len(layouts), p * p)[:, :: p + 1] = 0
+    return m
 
 
 def _group_misalignment(layer: LayerSpec, num_cores: int) -> str | None:

@@ -19,13 +19,14 @@ from .calibrate import (
     sample_degree_configs,
     spearman_rank_correlation,
 )
-from .oracle import PlanCostOracle, analytic_plan_cost, candidate_degrees
+from .oracle import PlanCostOracle, analytic_layer_cycles, analytic_plan_cost, candidate_degrees
 
 __all__ = [
     "BatchedDrainEstimate",
     "BatchedDrainModel",
     "batched_compute_cycles",
     "PlanCostOracle",
+    "analytic_layer_cycles",
     "analytic_plan_cost",
     "candidate_degrees",
     "CalibrationReport",

@@ -14,10 +14,12 @@ idiom of :mod:`repro.serve.fastpath`:
 * :class:`BatchedDrainModel` — the analytical drain estimate
   (:func:`repro.noc.analytical.estimate_drain_cycles`) over a stack of
   traffic matrices.  Flit counts come from the closed form
-  :func:`~repro.noc.packet.message_flits`; per-link loads are a single
-  integer matmul against the cached :func:`~repro.noc.routing.route_tables`
-  usage matrix; source/sink/link bounds and the head-latency term are
-  whole-stack reductions.
+  :func:`~repro.noc.packet.message_flits`; per-link loads are one float64
+  (BLAS) matmul against a float copy of the cached
+  :func:`~repro.noc.routing.route_tables` usage matrix, built once per mesh
+  shape and exact below 2**53 flits per burst (larger bursts raise);
+  source/sink/link bounds and the head-latency term are whole-stack
+  reductions.
 
 Both are property-tested element-for-element against the scalar reference
 implementations (``tests/plancost/``).
@@ -25,6 +27,7 @@ implementations (``tests/plancost/``).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +73,18 @@ class BatchedDrainEstimate:
         )
 
 
+#: Float64 represents every integer below this exactly.
+_EXACT_FLITS = 2**53
+
+
+@functools.lru_cache(maxsize=None)
+def _float_usage(width: int, height: int) -> np.ndarray:
+    """Read-only float64 copy of one mesh shape's route-usage table."""
+    usage = route_tables(Mesh2D(width, height)).usage.astype(np.float64)
+    usage.setflags(write=False)
+    return usage
+
+
 class BatchedDrainModel:
     """Vectorized ``estimate_drain_cycles`` bound to one (mesh, NoC) pair."""
 
@@ -83,7 +98,10 @@ class BatchedDrainModel:
 
         Every scalar result equals ``estimate_drain_cycles`` on the same
         matrix; the batch shape ``...`` is arbitrary (a flat candidate list,
-        a (layers, prev-degree, degree) grid, ...).
+        a (layers, prev-degree, degree) grid, ...).  Link loads are a float64
+        matmul, which runs on BLAS: every partial sum is an integer no larger
+        than its burst's flit total, so the loads are exact while that total
+        stays below 2**53.  A burst at or above it raises ``ValueError``.
         """
         cfg = self.config
         n = self.mesh.num_nodes
@@ -98,8 +116,15 @@ class BatchedDrainModel:
 
         out_flits = flits.sum(axis=-1).max(axis=-1, initial=0)
         in_flits = flits.sum(axis=-2).max(axis=-1, initial=0)
-        link = (flits.reshape(*flits.shape[:-2], n * n) @ self.tables.usage).max(
-            axis=-1, initial=0
+        pairs = flits.reshape(-1, n * n).astype(np.float64)
+        # Float sums of non-negative terms reach 2**53 iff the exact total does.
+        if pairs.sum(axis=-1).max(initial=0) >= _EXACT_FLITS:
+            raise ValueError("a burst of 2**53 or more flits has no exact float64 link loads")
+        link = (
+            (pairs @ _float_usage(self.mesh.width, self.mesh.height))
+            .max(axis=-1, initial=0)
+            .astype(np.int64)
+            .reshape(flits.shape[:-2])
         )
         pair_hops = np.where(flits > 0, self.tables.hops, 0).max(
             axis=(-2, -1), initial=0

@@ -12,9 +12,11 @@ The oracle therefore precomputes two tables —
   :func:`~repro.partition.layout.degree_out_bounds` split);
 * ``comm[ℓ, q, p]`` — redistribution drain cycles of the ``q → p``
   transition into layer ``ℓ``.  The traffic matrices come from the same
-  splits and the builder's need rule
-  (:func:`~repro.partition.traditional.grouped_needs`), and the whole
-  ``(L-1, P, P)`` grid of drain estimates is one
+  splits, the builder's need rule
+  (:func:`~repro.partition.traditional.grouped_needs`) and the builder's
+  traffic formula: for each consumer degree ``p``, one segment sum of the
+  need table serves every producer degree ``q``.  Each layer transition's
+  ``(Q, P)`` grid of drain estimates is one
   :class:`~repro.plancost.batched.BatchedDrainModel` call —
 
 after which costing a batch of configurations is pure integer gathering:
@@ -39,13 +41,13 @@ import numpy as np
 from ..accel.chip import ChipConfig
 from ..models.spec import NetworkSpec
 from ..partition.degree import degree_out_bounds, valid_degree
-from ..partition.layout import producer_layout_for, traffic_from_needs
+from ..partition.layout import _layouts_traffic, producer_layout_for
 from ..partition.plan import ModelParallelPlan
 from ..partition.traditional import grouped_needs, grouped_workloads
 from ..sim.engine import input_load_cycles
 from .batched import BatchedDrainModel, batched_compute_cycles
 
-__all__ = ["PlanCostOracle", "candidate_degrees", "analytic_plan_cost"]
+__all__ = ["PlanCostOracle", "candidate_degrees", "analytic_layer_cycles", "analytic_plan_cost"]
 
 
 def candidate_degrees(num_cores: int) -> tuple[int, ...]:
@@ -132,32 +134,25 @@ class PlanCostOracle:
                     [w.repeats for w in works],
                 ).max()
 
-        # comm[l, q, p]: redistribution drains, all grid points in ONE
-        # batched-estimate call.  Layer 0 reads from memory: zero row.
+        # comm[l, q, p]: redistribution drains, one batched estimate per layer
+        # transition over its (Q, P) grid.  For each consumer degree p, one
+        # segment sum of the need table serves every producer degree q.
+        # Layer 0 reads from memory: zero row.
         divider = self.chip.noc.core_clock_divider
         bpv = self.chip.bytes_per_value
         self.comm = np.full((num_layers, num_degrees, num_degrees), np.inf)
         self.comm[0] = 0.0
-        triples: list[tuple[int, int, int]] = []
-        matrices: list[np.ndarray] = []
         for li in range(1, num_layers):
             layer, prev = layers[li], layers[li - 1]
-            needs_by_p = {
-                pi: grouped_needs(layer, out_bounds)
-                for pi, out_bounds in bounds[li].items()
-            }
-            for qi, prev_bounds in bounds[li - 1].items():
-                layout = producer_layout_for(layer, prev, prev_bounds, n)
-                for pi, needs in needs_by_p.items():
-                    traffic = traffic_from_needs(
-                        layout, needs, bpv, label=f"{self.spec.name}/{layer.name}"
-                    )
-                    triples.append((li, qi, pi))
-                    matrices.append(traffic.bytes_matrix)
-        if matrices:
-            cycles = self._drain.drain_cycles(np.stack(matrices)) * divider
-            for (li, qi, pi), c in zip(triples, cycles):
-                self.comm[li, qi, pi] = float(c)
+            qs, ps = list(bounds[li - 1]), list(bounds[li])
+            if not (qs and ps):
+                continue
+            layouts = [producer_layout_for(layer, prev, bounds[li - 1][qi], n) for qi in qs]
+            stack = np.stack(  # (Q, P, N, N)
+                [_layouts_traffic(layouts, grouped_needs(layer, bounds[li][pi]), bpv) for pi in ps],
+                axis=1,
+            )
+            self.comm[li][np.ix_(qs, ps)] = self._drain.drain_cycles(stack) * divider
 
     # -- costing -----------------------------------------------------------------------
 
@@ -212,10 +207,30 @@ def analytic_plan_cost(
     """Analytic latency of an *existing* plan, batched over its layers.
 
     Matches ``InferenceSimulator(chip, SimConfig(comm_mode="analytical"))``
-    exactly: busiest-core compute per layer, one batched drain estimate over
-    the stacked layer-transition matrices, plus the shared input load.  Used
-    by the MCM stage-boundary DP to cost candidate stage ranges without an
-    engine run each.
+    exactly: the sum of :func:`analytic_layer_cycles` plus the shared input
+    load.
+    """
+    chip = chip or ChipConfig.table2(plan.num_cores)
+    body = int(analytic_layer_cycles(plan, chip).sum())
+    load = (
+        input_load_cycles(chip, plan.layers[0].layer.in_shape)
+        if include_input_load and plan.layers
+        else 0
+    )
+    return load + body
+
+
+def analytic_layer_cycles(
+    plan: ModelParallelPlan, chip: ChipConfig | None = None
+) -> np.ndarray:
+    """Analytic core cycles of each layer of an *existing* plan (int64).
+
+    A layer costs its busiest core's compute plus the drain of its
+    transition burst, one batched drain estimate over the stacked
+    layer-transition matrices.  Plans are built layer by layer, so layer
+    ``k``'s entry depends only on layers up to ``k``: the MCM stage-boundary
+    DP reads every stage range that starts at one layer from the running
+    sum over one sub-plan, without an engine run each.
     """
     chip = chip or ChipConfig.table2(plan.num_cores)
     if chip.num_cores != plan.num_cores:
@@ -223,18 +238,15 @@ def analytic_plan_cost(
             f"plan is for {plan.num_cores} cores, chip has {chip.num_cores}"
         )
     core_model = chip.core_model()
-    compute = sum(
-        max((core_model.compute_cycles(w) for w in lp.workloads()), default=0)
-        for lp in plan.layers
+    compute = np.array(
+        [
+            max((core_model.compute_cycles(w) for w in lp.workloads()), default=0)
+            for lp in plan.layers
+        ],
+        dtype=np.int64,
     )
-    comm = 0
-    if plan.layers:
-        stack = np.stack([lp.traffic.bytes_matrix for lp in plan.layers])
-        drains = BatchedDrainModel(chip.mesh, chip.noc).drain_cycles(stack)
-        comm = int(drains.sum()) * chip.noc.core_clock_divider
-    load = (
-        input_load_cycles(chip, plan.layers[0].layer.in_shape)
-        if include_input_load and plan.layers
-        else 0
-    )
-    return load + compute + comm
+    if not plan.layers:
+        return compute
+    stack = np.stack([lp.traffic.bytes_matrix for lp in plan.layers])
+    drains = BatchedDrainModel(chip.mesh, chip.noc).drain_cycles(stack)
+    return compute + drains * chip.noc.core_clock_divider

@@ -66,9 +66,21 @@ def search_layer_degrees(
     Returns the argmin config, its oracle cost, and the built
     :class:`~repro.partition.plan.ModelParallelPlan` ready for exact engine
     simulation or serving.  Pass an existing ``oracle`` to amortize table
-    construction across searches.
+    construction across searches; it must have been built for ``spec`` and
+    ``num_cores``, and for ``degrees`` and ``chip`` where those are given
+    (``ValueError`` otherwise).
     """
-    oracle = oracle or PlanCostOracle(spec, num_cores, degrees=degrees, chip=chip)
+    if oracle is None:
+        oracle = PlanCostOracle(spec, num_cores, degrees=degrees, chip=chip)
+    elif oracle.spec != spec or oracle.num_cores != num_cores:
+        raise ValueError(
+            f"oracle is for {oracle.spec.name} on {oracle.num_cores} cores, "
+            f"search asked for {spec.name} on {num_cores}"
+        )
+    elif degrees is not None and tuple(sorted(set(degrees))) != oracle.degrees:
+        raise ValueError(f"oracle has degrees {oracle.degrees}, search asked for {degrees}")
+    elif chip is not None and chip != oracle.chip:
+        raise ValueError("oracle was built for a different chip than the one passed")
     num_layers, num_degrees = oracle.num_layers, len(oracle.degrees)
 
     f = oracle.compute[0].copy()

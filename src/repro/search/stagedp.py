@@ -10,10 +10,13 @@ balances the real quantity:
     f[j, s] = min_i  max( f[i, s-1], body(i, j) + transfer(i) )
 
 where ``body(i, j)`` is the analytic latency of layers ``[i, j)`` planned on
-one chip (:func:`~repro.plancost.analytic_plan_cost`, input load excluded —
-stage 0's load is shared and later stages stream over the link) and
-``transfer(i)`` the inter-chip cost of layer ``i-1``'s activations over one
-snake hop.  ``O(L²)`` range costs, each a single batched drain estimate.
+one chip (the sum of :func:`~repro.plancost.analytic_layer_cycles` over the
+range, input load excluded — stage 0's load is shared and later stages
+stream over the link) and ``transfer(i)`` the inter-chip cost of layer
+``i-1``'s activations over one snake hop.  The ``O(L²)`` range costs come
+from at most ``L`` sub-plans: every range ``[i, j)`` is a prefix of the
+sub-plan of ``layers[i:]``, so one plan build and one batched drain
+estimate per start layer serve every range that starts there.
 
 The analytic costs *propose*; they never decide.  :func:`search_stage_split`
 exact-evaluates every DP proposal (one per stage count ``s = 1..num_chips``)
@@ -28,12 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ..mcm.pipeline import McmPipelinePlan, build_mcm_plan, stage_subspec
 from ..mcm.service import PipelineService, mcm_service
 from ..mcm.topology import McmTopology
 from ..models.spec import LayerSpec, NetworkSpec
 from ..partition.pipeline import balanced_stage_split
-from ..plancost.oracle import analytic_plan_cost
+from ..plancost.oracle import analytic_layer_cycles
 from ..sim.engine import SimConfig
 
 __all__ = ["StageSearchResult", "dp_stage_split", "search_stage_split"]
@@ -116,6 +121,41 @@ class StageSearchResult:
         )
 
 
+def _range_cost(
+    spec: NetworkSpec, topology: McmTopology, scheme: str
+) -> Callable[[int, int], float]:
+    """``range_cost(i, j)``: analytic stage cost of ``layers[i:j]`` on one chip.
+
+    The body excludes the input load (stage 0's load is shared, later
+    stages stream over the link); the inbound transfer of layer ``i-1``'s
+    activations over one snake hop is added.  Every range ``[i, j)`` is a
+    prefix of the sub-plan of ``layers[i:]``: plans are built layer by
+    layer, and the structure scheme groups a conv iff an earlier conv of the
+    sub-spec exists and its channels divide.  So one sub-plan per start
+    layer, costed per layer, serves every range from its running sum.
+    """
+    # Lazy: repro.serve imports repro.mcm at module scope, not vice versa.
+    from ..serve.cluster import build_replica_plan
+
+    layers = spec.compute_layers()
+    chip = topology.chip_config()
+    transfers = [0] + [
+        # Snake placement: consecutive occupied stages are one chip hop apart.
+        topology.link.transfer_cycles(layers[i - 1].output_volume * _BYTES_PER_VALUE, 1)
+        for i in range(1, len(layers))
+    ]
+    running: dict[int, np.ndarray] = {}
+
+    def range_cost(i: int, j: int) -> float:
+        if i not in running:
+            sub = stage_subspec(spec, i, layers[i:])
+            plan = build_replica_plan(sub, topology.cores_per_chip, scheme)
+            running[i] = np.cumsum(analytic_layer_cycles(plan, chip=chip))
+        return float(running[i][j - i - 1]) + transfers[i]
+
+    return range_cost
+
+
 def search_stage_split(
     spec: NetworkSpec,
     topology: McmTopology,
@@ -131,29 +171,10 @@ def search_stage_split(
     interval (tie: latency, tie: balanced), so the result is never worse
     than the balanced baseline.
     """
-    # Lazy: repro.serve imports repro.mcm at module scope, not vice versa.
-    from ..serve.cluster import build_replica_plan
-
     layers = spec.compute_layers()
     if not layers:
         raise ValueError(f"{spec.name} has no compute layers")
-    chip = topology.chip_config()
-
-    transfers = [0] + [
-        # Snake placement: consecutive occupied stages are one chip hop apart.
-        topology.link.transfer_cycles(layers[i - 1].output_volume * _BYTES_PER_VALUE, 1)
-        for i in range(1, len(layers))
-    ]
-    bodies: dict[tuple[int, int], float] = {}
-
-    def range_cost(i: int, j: int) -> float:
-        if (i, j) not in bodies:
-            sub = stage_subspec(spec, i, layers[i:j])
-            plan = build_replica_plan(sub, topology.cores_per_chip, scheme)
-            bodies[i, j] = float(
-                analytic_plan_cost(plan, chip=chip, include_input_load=False)
-            )
-        return bodies[i, j] + transfers[i]
+    range_cost = _range_cost(spec, topology, scheme)
 
     balanced = balanced_stage_split(layers, topology.num_chips)
     candidates: dict[tuple[int, ...], list[list[LayerSpec]]] = {}

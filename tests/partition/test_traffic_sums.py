@@ -7,6 +7,9 @@ input rows contiguously and in order; these tests check that invariant on
 every builder layout, check that a layout breaking it is rejected, and hold
 the segment sum equal to :func:`.needs_loop.loop_traffic` on random tables,
 padded degree layouts, conv→dense feature layouts and sparsified tables.
+Several layouts of one table share one segment sum
+(:func:`~repro.partition.layout._layouts_traffic`, the oracle's path); each
+of them is held equal to the loop too.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from repro.partition import grouped_needs, sparsified_needs
 from repro.partition.degree import valid_degree
 from repro.partition.layout import (
     ProducerLayout,
+    _layouts_traffic,
     degree_out_bounds,
     producer_layout_for,
     traffic_from_needs,
@@ -165,3 +169,54 @@ class TestSegmentSumMatchesLoop:
             weights = rng.standard_normal(shape) * (rng.random(shape) < keep)
         needs = sparsified_needs(layer, weights, out_bounds)
         assert_matches_loop(layout, needs, 2)
+
+
+@st.composite
+def layout_sets(draw):
+    """Several contiguous layouts, empty slices included, over one row count."""
+    cores = draw(st.integers(1, 8))
+    rows = draw(st.integers(0, 24))
+    layouts = []
+    for _ in range(draw(st.integers(1, 5))):
+        cuts = sorted(draw(st.lists(st.integers(0, rows), min_size=cores - 1, max_size=cores - 1)))
+        edges = [0, *cuts, rows]
+        bounds = tuple((a, b) for a, b in zip(edges, edges[1:]))
+        layouts.append(ProducerLayout(bounds, values_per_index=draw(st.sampled_from([1, 3, 49]))))
+    return rows, cores, layouts
+
+
+class TestSharedSegmentSums:
+    """Each layout of a shared segment sum equals its own per-pair loop."""
+
+    @given(case=layout_sets(), seed=seeds, density=densities, bpv=st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_random_layout_sets(self, case, seed, density, bpv):
+        rows, cores, layouts = case
+        needs = random_needs(seed, rows, cores, density)
+        stack = _layouts_traffic(layouts, needs, bpv)
+        assert stack.dtype == np.int64 and stack.shape == (len(layouts), cores, cores)
+        for layout, m in zip(layouts, stack):
+            np.testing.assert_array_equal(m, loop_traffic(layout, needs, bpv))
+
+    @pytest.mark.parametrize("name", sorted(SPECS) + ["vgg19"])
+    def test_every_producer_degree_of_a_transition(self, name):
+        layers = get_spec(name).compute_layers()
+        for n in CORES:
+            degrees = candidate_degrees(n)
+            for prev, layer in zip(layers, layers[1:]):
+                layouts = [
+                    producer_layout_for(layer, prev, degree_out_bounds(prev, q, n), n)
+                    for q in degrees
+                    if valid_degree(prev, q)
+                ]
+                for p in (d for d in degrees if valid_degree(layer, d)):
+                    needs = grouped_needs(layer, degree_out_bounds(layer, p, n))
+                    stack = _layouts_traffic(layouts, needs, 2)
+                    for layout, m in zip(layouts, stack):
+                        np.testing.assert_array_equal(m, loop_traffic(layout, needs, 2))
+
+    def test_one_non_tiling_layout_rejected(self):
+        good = ProducerLayout(((0, 2), (2, 4)), values_per_index=1)
+        bad = ProducerLayout(((0, 2), (3, 4)), values_per_index=1)
+        with pytest.raises(ValueError, match="do not tile"):
+            _layouts_traffic([good, bad], np.ones((4, 2), dtype=bool), 2)

@@ -1,12 +1,20 @@
 """Element-for-element tests of the batched kernels vs their scalar references."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accel.core import AcceleratorConfig, CoreModel, CoreWorkload
 from repro.models.zoo import convnet_spec, lenet_spec
-from repro.noc import Mesh2D, NoCConfig, TrafficMatrix, estimate_drain_cycles
+from repro.noc import (
+    Mesh2D,
+    NoCConfig,
+    TrafficMatrix,
+    estimate_drain_cycles,
+    message_flits,
+    route_tables,
+)
 from repro.plancost import BatchedDrainModel, batched_compute_cycles
 
 
@@ -61,6 +69,61 @@ class TestBatchedDrainModel:
             pass
         else:  # pragma: no cover
             raise AssertionError("expected ValueError on mesh-size mismatch")
+
+
+def _int64_link_bound(stack: np.ndarray, mesh: Mesh2D, config: NoCConfig) -> np.ndarray:
+    """Link bounds from an integer matmul against the route-usage table."""
+    n = mesh.num_nodes
+    loads = message_flits(stack, config).reshape(-1, n * n) @ route_tables(mesh).usage
+    return -(loads.max(axis=-1, initial=0) // -config.physical_channels)
+
+
+class TestFloatLinkLoads:
+    """Float64 link loads are exact below 2**53 flits per burst."""
+
+    @given(
+        nodes=st.sampled_from([4, 8, 9, 16]),
+        seed=st.integers(0, 1000),
+        high=st.sampled_from([30_000, 2**36, 2**44]),
+        config=st.sampled_from(
+            [NoCConfig(), NoCConfig(physical_channels=1), NoCConfig(max_packet_flits=4)]
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scalar_and_int64_references(self, nodes, seed, high, config):
+        mesh = Mesh2D.for_nodes(nodes)
+        rng = np.random.default_rng(seed)
+        shape = (4, nodes, nodes)
+        stack = np.where(rng.random(shape) < 0.5, 0, rng.integers(0, high, shape))
+        for m in stack:
+            np.fill_diagonal(m, 0)
+        est = BatchedDrainModel(mesh, config).estimate(stack)
+        assert np.array_equal(est.link_bound, _int64_link_bound(stack, mesh, config))
+        for i in range(len(stack)):
+            assert est.one(i) == estimate_drain_cycles(TrafficMatrix(stack[i]), mesh, config)
+
+    def test_link_loads_beyond_int32(self):
+        mesh = Mesh2D(4, 4)
+        stack = np.full((1, 16, 16), 2**40, dtype=np.int64)
+        np.fill_diagonal(stack[0], 0)
+        est = BatchedDrainModel(mesh).estimate(stack)
+        assert est.link_bound[0] > 2**31
+        assert np.array_equal(est.link_bound, _int64_link_bound(stack, mesh, NoCConfig()))
+        assert est.one(0) == estimate_drain_cycles(TrafficMatrix(stack[0]), mesh)
+
+    def test_burst_of_2_53_flits_rejected(self):
+        # One payload flit per packet: a message of k flit-loads is 2k flits.
+        config = NoCConfig(max_packet_flits=2)
+        model = BatchedDrainModel(Mesh2D(2, 1), config)
+        stack = np.zeros((2, 2, 2), dtype=np.int64)
+        stack[1, 0, 1] = 2**52 * config.flit_bytes
+        assert message_flits(stack[1, 0, 1], config) == 2**53
+        with pytest.raises(ValueError, match="2\\*\\*53"):
+            model.estimate(stack)
+        stack[1, 0, 1] -= config.flit_bytes  # 2**53 - 2 flits
+        est = model.estimate(stack)
+        assert est.link_bound.tolist() == [0, 2**52 - 1]
+        assert np.array_equal(est.link_bound, _int64_link_bound(stack, model.mesh, config))
 
 
 def _layers():

@@ -1,12 +1,14 @@
 """Chain DP over per-layer degrees: optimality and never-worse guarantees."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.accel import ChipConfig
-from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
+from repro.models.zoo import alexnet_spec, caffenet_spec, convnet_spec, lenet_spec
+from repro.noc import NoCConfig
 from repro.partition import build_traditional_plan
 from repro.plancost import PlanCostOracle
 from repro.search import search_layer_degrees
@@ -94,3 +96,34 @@ class TestResultContract:
     def test_respects_restricted_candidates(self):
         result = search_layer_degrees(lenet_spec(), 16, degrees=(4, 16))
         assert set(result.degrees) <= {4, 16}
+
+
+class TestOracleArguments:
+    """A passed oracle must match the search's own arguments."""
+
+    def test_matching_oracle_is_used(self):
+        spec = lenet_spec()
+        oracle = PlanCostOracle(spec, 16, degrees=(1, 4, 16))
+        result = search_layer_degrees(
+            spec, 16, degrees=(16, 4, 1), chip=ChipConfig.table2(16), oracle=oracle
+        )
+        assert result.degrees == search_layer_degrees(spec, 16, degrees=(1, 4, 16)).degrees
+
+    def test_other_num_cores_rejected(self):
+        with pytest.raises(ValueError, match="32 cores"):
+            search_layer_degrees(lenet_spec(), 16, oracle=PlanCostOracle(lenet_spec(), 32))
+
+    def test_other_spec_rejected(self):
+        with pytest.raises(ValueError, match="alexnet"):
+            search_layer_degrees(caffenet_spec(), 16, oracle=PlanCostOracle(alexnet_spec(), 16))
+
+    def test_other_degrees_rejected(self):
+        oracle = PlanCostOracle(lenet_spec(), 16, degrees=(1, 4, 16))
+        with pytest.raises(ValueError, match="degrees"):
+            search_layer_degrees(lenet_spec(), 16, degrees=(4, 16), oracle=oracle)
+
+    def test_other_chip_rejected(self):
+        oracle = PlanCostOracle(lenet_spec(), 16)
+        chip = replace(ChipConfig.table2(16), noc=NoCConfig(core_clock_divider=2))
+        with pytest.raises(ValueError, match="chip"):
+            search_layer_degrees(lenet_spec(), 16, chip=chip, oracle=oracle)

@@ -6,8 +6,11 @@ import itertools
 import pytest
 
 from repro.mcm.topology import McmTopology
-from repro.models.zoo import convnet_spec, lenet_spec
+from repro.models.zoo import SPEC_BUILDERS, convnet_spec, lenet_spec
 from repro.search import dp_stage_split, search_stage_split
+from repro.search.stagedp import _range_cost
+
+from .range_loop import loop_range_costs
 
 
 def _brute_force_bottleneck(costs, num_stages, range_cost):
@@ -105,3 +108,17 @@ class TestSearchStageSplit:
         assert result.used == "searched"
         assert result.interval_cycles < result.balanced_interval
         assert (result.balanced_interval, result.interval_cycles) == (5847, 3809)
+
+
+class TestRangeCosts:
+    """One sub-plan per start layer gives every range the O(L²) loop's cost."""
+
+    @pytest.mark.parametrize("scheme", ["traditional", "structure"])
+    @pytest.mark.parametrize("chips, cores", [(2, 16), (4, 16), (2, 4)])
+    @pytest.mark.parametrize("name", sorted(SPEC_BUILDERS))
+    def test_every_range_equals_its_own_subplan(self, name, chips, cores, scheme):
+        spec = SPEC_BUILDERS[name]()
+        topology = McmTopology.build(chips, cores_per_chip=cores)
+        range_cost = _range_cost(spec, topology, scheme)
+        expected = loop_range_costs(spec, topology, scheme)
+        assert {ij: range_cost(*ij) for ij in expected} == expected
