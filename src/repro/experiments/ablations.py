@@ -24,6 +24,7 @@ import numpy as np
 
 from ..accel.chip import ChipConfig
 from ..analysis.tables import render_table
+from ..mcm import InterChipLink, McmTopology, build_mcm_plan, mcm_service
 from ..models.zoo import get_spec
 from ..noc.analytical import estimate_drain_cycles
 from ..noc.network import NoCSimulator
@@ -31,7 +32,7 @@ from ..noc.packet import NoCConfig
 from ..noc.topology import Mesh2D
 from ..partition.sparsified import build_sparsified_plan
 from ..partition.traditional import build_traditional_plan
-from ..sim.engine import InferenceSimulator
+from ..sim.engine import InferenceSimulator, SimConfig
 from ..train.sparsify import SparsifyConfig, train_sparsified
 from .common import dataset_for, train_baseline
 from .config import ExperimentProfile, PAPER
@@ -406,36 +407,32 @@ def run_pipeline_ablation(num_cores: int = 16) -> list[PipelineRow]:
     full-scale specs.  For the pipeline, the steady-state interval is what a
     throughput-oriented deployment would see; single-pass latency is the
     paper's metric.
-    """
-    from ..partition.pipeline import build_pipeline_plan
-    from ..sim.engine import SimConfig
 
+    The layer pipeline is an MCM of ``num_cores`` one-core chips joined by a
+    link timed like the on-chip NoC: each stage runs whole on one core, and
+    activations hop between adjacent cores.
+    """
+    chip = ChipConfig.table2(num_cores)
+    topology = McmTopology.build(
+        num_cores, cores_per_chip=1, link=InterChipLink.match_noc(chip.noc)
+    )
+    no_input_load = SimConfig(include_input_load=False)
     rows = []
     for network in ("lenet", "convnet", "alexnet"):
         spec = get_spec(network)
-        chip = ChipConfig.table2(num_cores)
-        core_model = chip.core_model()
-        mesh = chip.mesh
-
-        pipeline = build_pipeline_plan(spec, num_cores)
+        pipeline = mcm_service(build_mcm_plan(spec, topology), no_input_load)
         rows.append(
             PipelineRow(
                 network=network,
                 scheme="pipeline",
-                single_pass_cycles=pipeline.single_pass_latency(
-                    core_model, mesh, chip.noc
-                ),
-                steady_interval=pipeline.steady_state_interval(
-                    core_model, mesh, chip.noc
-                ),
-                imbalance=pipeline.imbalance(core_model),
+                single_pass_cycles=pipeline.latency_cycles,
+                steady_interval=pipeline.interval_cycles,
+                imbalance=pipeline.imbalance,
             )
         )
 
         plan = build_traditional_plan(spec, num_cores)
-        result = InferenceSimulator(
-            chip, SimConfig(include_input_load=False)
-        ).simulate(plan)
+        result = InferenceSimulator(chip, no_input_load).simulate(plan)
         rows.append(
             PipelineRow(
                 network=network,

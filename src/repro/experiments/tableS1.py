@@ -17,125 +17,23 @@ Geometry-only plans (no training): the structure scheme groups every
 eligible conv layer replica-wide, which is the paper's Parallel#1 transform
 without the retraining step — its accuracy cost is Table III/IV's subject,
 not this table's.
+
+The sweep itself is Table MCM's
+(:func:`~repro.experiments.table_mcm.serving_sweep`) over the single-chip
+family only, so both tables share one configuration list, row loop and
+row type.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, replace
-
-from ..analysis.pareto import pareto_flags
 from ..analysis.tables import render_table
-from ..models.spec import NetworkSpec
-from ..models.zoo import get_spec
-from ..parallel import pmap
-from ..serve.cluster import build_spec_cluster
-from ..serve.scheduler import make_scheduler
-from ..serve.simulator import simulate_serving
-from ..serve.slo import SLO
-from ..serve.workload import PoissonWorkload
 from .config import ExperimentProfile, PAPER
+from .table_mcm import DEFAULT_GROUP_SIZES, SERVE_NETWORK, TableMcmRow, serving_sweep
 
-__all__ = ["TableS1Row", "run_tableS1", "render_tableS1"]
+__all__ = ["run_tableS1", "render_tableS1"]
 
-SERVE_NETWORK = "convnet"
-DEFAULT_GROUP_SIZES = (16, 4, 1)
 DEFAULT_LOAD_FACTORS = (0.2, 0.6, 1.2, 2.0)
 FAST_LOAD_FACTORS = (0.2, 2.0)
-
-
-@dataclass(frozen=True)
-class TableS1Row:
-    """One (scheme, replica-group size, arrival rate) operating point."""
-
-    scheme: str
-    group_cores: int
-    replicas: int
-    load_factor: float  # offered rate / one full-chip MP replica's capacity
-    rate_per_megacycle: float
-    p50: int
-    p99: int
-    throughput: float  # completions per megacycle
-    goodput: float  # SLO-met completions per megacycle
-    violation_rate: float
-    utilization: float
-    pareto: bool  # on the (goodput up, p99 down) frontier
-
-
-def _configurations(
-    schemes: tuple[str, ...], group_sizes: tuple[int, ...]
-) -> list[tuple[str, int]]:
-    configs = []
-    for scheme in schemes:
-        for g in group_sizes:
-            # A 1-core group has nothing to partition: structure degenerates
-            # to traditional, so only report it once.
-            if scheme == "structure" and g == 1:
-                continue
-            configs.append((scheme, g))
-    return configs
-
-
-def _config_latency(config: tuple[str, int], spec: NetworkSpec, num_cores: int) -> int:
-    """Unloaded latency of one (scheme, group-size) cluster.
-
-    Building the cluster simulates its plans once; run in a worker this also
-    warms the persistent drain-time memo, so the sweep stage's rebuild is a
-    disk cache hit.
-    """
-    scheme, g = config
-    cluster = build_spec_cluster(spec, num_cores, g, scheme=scheme)
-    return cluster.unloaded_latency(spec.name)
-
-
-def _config_rows(
-    config: tuple[str, int],
-    spec: NetworkSpec,
-    num_cores: int,
-    base_rate: float,
-    slo_cycles: int,
-    load_factors: tuple[float, ...],
-    num_requests: int,
-    scheduler: str,
-    seed: int,
-) -> list[TableS1Row]:
-    """All load points of one (scheme, group-size) configuration."""
-    scheme, g = config
-    cluster = build_spec_cluster(spec, num_cores, g, scheme=scheme)
-    slo = SLO(target_cycles=slo_cycles, name="tableS1")
-    rows: list[TableS1Row] = []
-    for factor in load_factors:
-        rate = factor * base_rate
-        workload = PoissonWorkload(
-            rate_per_megacycle=rate,
-            num_requests=num_requests,
-            seed=seed + 1000 * int(factor * 100),
-            mix={spec.name: 1.0},
-        )
-        # Summary mode: the row only needs the report's aggregates, so the
-        # per-request storage is dropped as soon as the SLO is scored —
-        # sweep memory stays flat no matter how many requests a cell serves.
-        _, report = simulate_serving(
-            cluster, make_scheduler(scheduler), workload, slo=slo, records="summary"
-        )
-        assert report is not None
-        rows.append(
-            TableS1Row(
-                scheme=scheme,
-                group_cores=g,
-                replicas=cluster.num_groups,
-                load_factor=factor,
-                rate_per_megacycle=rate,
-                p50=report.p50,
-                p99=report.p99,
-                throughput=report.throughput_per_megacycle,
-                goodput=report.goodput_per_megacycle,
-                violation_rate=report.violation_rate,
-                utilization=report.utilization,
-                pareto=False,
-            )
-        )
-    return rows
 
 
 def run_tableS1(
@@ -146,10 +44,12 @@ def run_tableS1(
     load_factors: tuple[float, ...] | None = None,
     num_requests: int | None = None,
     scheduler: str = "fifo",
+    max_batch: int = 4,
     slo_factor: float = 2.0,
     seed: int = 0,
     workers: int | None = None,
-) -> list[TableS1Row]:
+    memory_channels: int | None = None,
+) -> list[TableMcmRow]:
     """Sweep arrival rate x scheme x replica-group size on one chip.
 
     Rates are expressed as multiples (``load_factors``) of the full-chip
@@ -158,71 +58,36 @@ def run_tableS1(
     ``slo_factor`` x the *slowest* configuration's unloaded latency — is the
     loosest target every configuration can meet when idle, making goodput
     comparable across them.
-
-    Two ``pmap`` stages: every configuration's unloaded latency first (the
-    SLO needs the global maximum), then every configuration's load points.
-    Within one process the second stage's cluster rebuild hits the in-process
-    service memo; across processes it hits the persistent drain-time cache.
     """
-    fast = profile.name == "fast"
     if load_factors is None:
+        fast = profile.name == "fast"
         load_factors = FAST_LOAD_FACTORS if fast else DEFAULT_LOAD_FACTORS
-    if num_requests is None:
-        num_requests = 150 if fast else 600
-
-    spec = get_spec(SERVE_NETWORK)
-    configs = _configurations(schemes, group_sizes)
-    # One full-chip traditional replica is the rate yardstick.
-    yardstick_config = ("traditional", num_cores)
-    latency_configs = configs + (
-        [] if yardstick_config in configs else [yardstick_config]
-    )
-    latencies = dict(
-        zip(
-            latency_configs,
-            pmap(
-                functools.partial(
-                    _config_latency, spec=spec, num_cores=num_cores
-                ),
-                latency_configs,
-                workers=workers,
-                label="tableS1.latency",
-            ),
-        )
-    )
-    base_rate = 1e6 / latencies[yardstick_config]
-    slo_cycles = int(slo_factor * max(latencies[c] for c in configs))
-
-    per_config = pmap(
-        functools.partial(
-            _config_rows,
-            spec=spec,
-            num_cores=num_cores,
-            base_rate=base_rate,
-            slo_cycles=slo_cycles,
-            load_factors=tuple(load_factors),
-            num_requests=num_requests,
-            scheduler=scheduler,
-            seed=seed,
-        ),
-        configs,
+    return serving_sweep(
+        "tableS1",
+        # The frontier is computed within each scheme: geometry-only
+        # structure pays no accuracy cost here, so a global frontier would
+        # trivially be all-structure and hide the replica-size crossover the
+        # table is about.
+        lambda row: row.scheme,
+        profile=profile,
+        chips=1,
+        cores_per_chip=num_cores,
+        group_sizes=group_sizes,
+        stage_counts=(),
+        schemes=schemes,
+        load_factors=load_factors,
+        num_requests=num_requests,
+        scheduler=scheduler,
+        max_batch=max_batch,
+        slo_factor=slo_factor,
+        seed=seed,
         workers=workers,
-        label="tableS1.sweep",
+        link=None,
+        memory_channels=memory_channels,
     )
-    rows = [row for rows_ in per_config for row in rows_]
-
-    # The frontier is computed within each scheme: geometry-only structure
-    # pays no accuracy cost here, so a global frontier would trivially be
-    # all-structure and hide the replica-size crossover the table is about.
-    flagged: list[TableS1Row] = []
-    for scheme in dict.fromkeys(r.scheme for r in rows):
-        group = [r for r in rows if r.scheme == scheme]
-        flags = pareto_flags([(r.goodput, float(r.p99)) for r in group])
-        flagged.extend(replace(r, pareto=f) for r, f in zip(group, flags))
-    return flagged
 
 
-def render_tableS1(rows: list[TableS1Row]) -> str:
+def render_tableS1(rows: list[TableMcmRow]) -> str:
     return render_table(
         [
             "scheme", "grp cores", "replicas", "load", "rate/Mcyc",

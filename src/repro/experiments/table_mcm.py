@@ -21,12 +21,18 @@ where every single-chip layout has saturated — the scale-out claim
 Unlike Table S1's per-scheme frontiers, the frontier here is **global**:
 the question is "what would a deployer run", and the answer is allowed to
 be "a different family".
+
+Table S1 is this sweep over the single-chip family alone
+(:func:`~repro.experiments.tableS1.run_tableS1`): :func:`serving_sweep` is
+the one configuration list, latency stage, row loop and ``pmap`` pair both
+tables run.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
+from typing import Callable, Hashable
 
 from ..analysis.pareto import pareto_flags
 from ..analysis.tables import render_table
@@ -41,10 +47,10 @@ from ..serve.simulator import simulate_serving
 from ..serve.slo import SLO
 from ..serve.workload import PoissonWorkload
 from .config import ExperimentProfile, PAPER
-from .tableS1 import SERVE_NETWORK
 
-__all__ = ["TableMcmRow", "run_table_mcm", "render_table_mcm"]
+__all__ = ["TableMcmRow", "serving_sweep", "run_table_mcm", "render_table_mcm"]
 
+SERVE_NETWORK = "convnet"
 DEFAULT_CHIPS = 4
 DEFAULT_GROUP_SIZES = (16, 4, 1)
 #: Load factors reach past single-chip saturation so the MCM headroom shows.
@@ -65,15 +71,15 @@ class TableMcmRow:
     stages: int  # pipeline depth (1 for single-chip rows)
     replicas: int  # concurrent groups: chip replica groups or pipelines
     group_cores: int  # cores one request's group spans
-    load_factor: float
+    load_factor: float  # offered rate / one full-chip MP replica's capacity
     rate_per_megacycle: float
     p50: int
     p99: int
-    throughput: float
-    goodput: float
+    throughput: float  # completions per megacycle
+    goodput: float  # SLO-met completions per megacycle
     violation_rate: float
     utilization: float
-    pareto: bool  # on the single global (goodput up, p99 down) frontier
+    pareto: bool  # on its sweep's (goodput up, p99 down) frontier
 
     @property
     def config(self) -> str:
@@ -92,7 +98,8 @@ def _configurations(
     configs: list[_Config] = []
     for scheme in schemes:
         for g in group_sizes:
-            # A 1-core group has nothing to partition (as in Table S1).
+            # A 1-core group has nothing to partition: structure degenerates
+            # to traditional, so only report it once.
             if scheme == "structure" and g == 1:
                 continue
             configs.append(("chip", scheme, g))
@@ -148,16 +155,16 @@ def _config_rows(
     link: InterChipLink | None,
     memory_channels: int | None,
     base_rate: float,
-    slo_cycles: int,
+    slo: SLO,
     load_factors: tuple[float, ...],
     num_requests: int,
     scheduler: str,
+    max_batch: int,
     seed: int,
 ) -> list[TableMcmRow]:
     """All load points of one configuration."""
     kind, scheme, n = config
     cluster = _build_cluster(config, spec, cores_per_chip, chips, link, memory_channels)
-    slo = SLO(target_cycles=slo_cycles, name="tableMCM")
     rows: list[TableMcmRow] = []
     for factor in load_factors:
         rate = factor * base_rate
@@ -170,7 +177,11 @@ def _config_rows(
         # Summary mode drops per-request storage once the SLO is scored,
         # keeping the sweep's memory flat at any request count.
         _, report = simulate_serving(
-            cluster, make_scheduler(scheduler), workload, slo=slo, records="summary"
+            cluster,
+            make_scheduler(scheduler, max_batch=max_batch),
+            workload,
+            slo=slo,
+            records="summary",
         )
         assert report is not None
         rows.append(
@@ -195,40 +206,43 @@ def _config_rows(
     return rows
 
 
-def run_table_mcm(
-    profile: ExperimentProfile = PAPER,
-    chips: int = DEFAULT_CHIPS,
-    cores_per_chip: int = 16,
-    group_sizes: tuple[int, ...] = DEFAULT_GROUP_SIZES,
-    stage_counts: tuple[int, ...] | None = None,
-    schemes: tuple[str, ...] = ("traditional", "structure"),
-    load_factors: tuple[float, ...] | None = None,
-    num_requests: int | None = None,
-    scheduler: str = "fifo",
-    slo_factor: float = 2.0,
-    seed: int = 0,
-    workers: int | None = None,
-    link: InterChipLink | None = None,
-    memory_channels: int | None = None,
+def serving_sweep(
+    name: str,
+    frontier: Callable[[TableMcmRow], Hashable],
+    *,
+    profile: ExperimentProfile,
+    chips: int,
+    cores_per_chip: int,
+    group_sizes: tuple[int, ...],
+    stage_counts: tuple[int, ...],
+    schemes: tuple[str, ...],
+    load_factors: tuple[float, ...],
+    num_requests: int | None,
+    scheduler: str,
+    max_batch: int,
+    slo_factor: float,
+    seed: int,
+    workers: int | None,
+    link: InterChipLink | None,
+    memory_channels: int | None,
 ) -> list[TableMcmRow]:
-    """Sweep rate x scheme x {single-chip groups, pipelined MCM layouts}.
+    """Serve one Poisson stream per (configuration, load factor) and flag
+    the Pareto frontier within each ``frontier(row)`` group.
 
-    Mirrors :func:`~repro.experiments.tableS1.run_tableS1`'s two ``pmap``
-    stages (unloaded latencies for the shared SLO, then every load point)
-    and rate yardstick (one full-chip traditional replica's capacity).
-    ``stage_counts`` defaults to every divisor of ``chips``: 1 (pure chip
-    replication) through ``chips`` (one package-wide pipeline).
+    The configurations are the chip's replica groups per scheme, then the
+    MCM layouts of every stage count (none when ``stage_counts`` is empty).
+    Rates are multiples of one full-chip traditional replica's capacity;
+    the shared SLO is ``slo_factor`` x the *slowest* configuration's
+    unloaded latency.  Two ``pmap`` stages, labelled by ``name``: every
+    configuration's unloaded latency first (the SLO needs the global
+    maximum), then every configuration's load points.  Within one process
+    the second stage's cluster rebuild hits the in-process service memo;
+    across processes it hits the persistent drain-time cache.
     """
-    fast = profile.name == "fast"
-    if load_factors is None:
-        load_factors = FAST_LOAD_FACTORS if fast else DEFAULT_LOAD_FACTORS
     if num_requests is None:
-        num_requests = 150 if fast else 600
-    if stage_counts is None:
-        stage_counts = tuple(s for s in range(1, chips + 1) if chips % s == 0)
-
+        num_requests = 150 if profile.name == "fast" else 600
     spec = get_spec(SERVE_NETWORK)
-    configs = _configurations(chips, schemes, group_sizes, tuple(stage_counts))
+    configs = _configurations(chips, schemes, group_sizes, stage_counts)
     yardstick: _Config = ("chip", "traditional", cores_per_chip)
     latency_configs = configs + ([] if yardstick in configs else [yardstick])
     build_args = dict(
@@ -245,33 +259,89 @@ def run_table_mcm(
                 functools.partial(_config_latency, **build_args),
                 latency_configs,
                 workers=workers,
-                label="tableMCM.latency",
+                label=f"{name}.latency",
             ),
         )
     )
-    base_rate = 1e6 / latencies[yardstick]
-    slo_cycles = int(slo_factor * max(latencies[c] for c in configs))
-
+    slo = SLO(
+        target_cycles=int(slo_factor * max(latencies[c] for c in configs)), name=name
+    )
     per_config = pmap(
         functools.partial(
             _config_rows,
-            base_rate=base_rate,
-            slo_cycles=slo_cycles,
+            base_rate=1e6 / latencies[yardstick],
+            slo=slo,
             load_factors=tuple(load_factors),
             num_requests=num_requests,
             scheduler=scheduler,
+            max_batch=max_batch,
             seed=seed,
             **build_args,
         ),
         configs,
         workers=workers,
-        label="tableMCM.sweep",
+        label=f"{name}.sweep",
     )
     rows = [row for rows_ in per_config for row in rows_]
 
-    # ONE global frontier across both families — the deployer's view.
-    flags = pareto_flags([(r.goodput, float(r.p99)) for r in rows])
+    flags = [False] * len(rows)
+    groups: dict[Hashable, list[int]] = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(frontier(row), []).append(i)
+    for members in groups.values():
+        points = [(rows[i].goodput, float(rows[i].p99)) for i in members]
+        for i, flag in zip(members, pareto_flags(points)):
+            flags[i] = flag
     return [replace(r, pareto=f) for r, f in zip(rows, flags)]
+
+
+def run_table_mcm(
+    profile: ExperimentProfile = PAPER,
+    chips: int = DEFAULT_CHIPS,
+    cores_per_chip: int = 16,
+    group_sizes: tuple[int, ...] = DEFAULT_GROUP_SIZES,
+    stage_counts: tuple[int, ...] | None = None,
+    schemes: tuple[str, ...] = ("traditional", "structure"),
+    load_factors: tuple[float, ...] | None = None,
+    num_requests: int | None = None,
+    scheduler: str = "fifo",
+    max_batch: int = 4,
+    slo_factor: float = 2.0,
+    seed: int = 0,
+    workers: int | None = None,
+    link: InterChipLink | None = None,
+    memory_channels: int | None = None,
+) -> list[TableMcmRow]:
+    """Sweep rate x scheme x {single-chip groups, pipelined MCM layouts}.
+
+    ``stage_counts`` defaults to every divisor of ``chips``: 1 (pure chip
+    replication) through ``chips`` (one package-wide pipeline).
+    """
+    if load_factors is None:
+        fast = profile.name == "fast"
+        load_factors = FAST_LOAD_FACTORS if fast else DEFAULT_LOAD_FACTORS
+    if stage_counts is None:
+        stage_counts = tuple(s for s in range(1, chips + 1) if chips % s == 0)
+    return serving_sweep(
+        "tableMCM",
+        # ONE global frontier across both families — the deployer's view.
+        lambda row: None,
+        profile=profile,
+        chips=chips,
+        cores_per_chip=cores_per_chip,
+        group_sizes=group_sizes,
+        stage_counts=tuple(stage_counts),
+        schemes=schemes,
+        load_factors=load_factors,
+        num_requests=num_requests,
+        scheduler=scheduler,
+        max_batch=max_batch,
+        slo_factor=slo_factor,
+        seed=seed,
+        workers=workers,
+        link=link,
+        memory_channels=memory_channels,
+    )
 
 
 def render_table_mcm(rows: list[TableMcmRow]) -> str:

@@ -10,7 +10,7 @@ when a *search* picks the recipe per layer and per stage instead:
   next to the calibration rank correlation that says how much to trust the
   oracle's ordering (``tests/plancost/test_calibrate.py`` holds it at >= 0.95);
 * **MCM stage boundaries** — :func:`~repro.search.search_stage_split` races
-  the min-max DP split against :func:`~repro.partition.pipeline.\
+  the min-max DP split against :func:`~repro.mcm.pipeline.\
 balanced_stage_split` per (model, chips, scheme), reporting the measured
   steady-state intervals.  By construction the searched column is never
   worse; the interesting number is *how often* and *by how much* it wins

@@ -9,19 +9,24 @@ cross-chip pipeline.  This package supplies the pieces:
   the on-chip NoC) and :class:`McmTopology`, a mesh of :class:`Mesh2D`
   chips;
 * :mod:`repro.mcm.pipeline` — :func:`build_mcm_plan` packs compute layers
-  into per-chip stages (MAC-balanced, contiguous) where each stage is
-  internally an intra-layer partition plan over that chip's cores;
+  into per-chip stages (contiguous, MAC-balanced by
+  :func:`balanced_stage_split`) where each stage is internally an
+  intra-layer partition plan over that chip's cores;
 * :mod:`repro.mcm.service` — :class:`PipelineService`, the pipelined
   service-time profile (latency = sum of stages + inter-chip transfers,
-  steady-state interval = slowest stage) consumed by
+  steady-state interval = slowest stage, stage imbalance) consumed by
   :class:`repro.serve.PipelinedCluster`.
+
+An MCM of one-core chips joined by :meth:`InterChipLink.match_noc` is the
+single-chip layer pipeline §II.B rejects; the pipeline ablation times it
+that way.
 
 Modules here never import :mod:`repro.serve` at module scope (the serve
 package imports us); the per-stage cycle simulations go through
 ``service_for_plan`` via a lazy import inside :func:`mcm_service`.
 """
 
-from .pipeline import McmPipelinePlan, McmStage, build_mcm_plan
+from .pipeline import McmPipelinePlan, McmStage, balanced_stage_split, build_mcm_plan
 from .service import PipelineService, mcm_service
 from .topology import InterChipLink, McmTopology
 
@@ -30,6 +35,7 @@ __all__ = [
     "McmTopology",
     "McmStage",
     "McmPipelinePlan",
+    "balanced_stage_split",
     "build_mcm_plan",
     "PipelineService",
     "mcm_service",

@@ -1,15 +1,17 @@
 """Per-chip pipeline stages: contiguous layer ranges, intra-layer inside.
 
-This generalizes :mod:`repro.partition.pipeline` from per-*core* to
-per-*chip* granularity — and removes its fatal flaw.  §II.B rejects layer
-pipelining on a single CMP because each stage runs whole on one core; here
-every stage is internally an intra-layer partition plan (the paper's own
-scheme) over the chip's full core mesh, so the pipeline only pays the
-inter-chip hand-off, not single-core stage latencies.
+:func:`balanced_stage_split` packs consecutive compute layers into
+MAC-balanced stages, and :func:`build_mcm_plan` places them on chips in
+snake order (consecutive stages one chip hop apart).  Every stage is
+internally an intra-layer partition plan (the paper's own scheme) over the
+chip's full core mesh, so the pipeline only pays the inter-chip hand-off.
 
-:func:`build_mcm_plan` reuses :func:`~repro.partition.pipeline.\
-balanced_stage_split` for the MAC-balanced contiguous packing and places
-stages on chips in snake order (consecutive stages one chip hop apart).
+The same model times §II.B's rejected alternative, layer pipelining on one
+CMP: an MCM of one-core chips joined by
+:meth:`~repro.mcm.topology.InterChipLink.match_noc` runs each stage whole
+on one core and hands activations over at the on-chip NoC's rate
+(``run_pipeline_ablation`` in :mod:`repro.experiments.ablations`).
+
 Activation bytes crossing a stage boundary are charged exactly once, at
 :meth:`~repro.mcm.topology.InterChipLink.transfer_cycles` cost — never at
 the on-chip NoC rate; the intra-stage plans carry no cross-stage traffic
@@ -23,14 +25,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..models.spec import LayerSpec, NetworkSpec
-from ..partition.pipeline import balanced_stage_split
 from ..partition.plan import ModelParallelPlan
 from .topology import McmTopology
 
-__all__ = ["McmStage", "McmPipelinePlan", "build_mcm_plan"]
+__all__ = ["McmStage", "McmPipelinePlan", "balanced_stage_split", "build_mcm_plan"]
 
 #: Activation width on the inter-chip wire (16-bit fixed point, as on-chip).
 _BYTES_PER_VALUE = 2
+
+
+def balanced_stage_split(
+    layers: list[LayerSpec], num_stages: int
+) -> list[list[LayerSpec]]:
+    """Pack contiguous layers into stages, greedily balancing MACs.
+
+    Walks the layer list accumulating MACs and closes a stage when it reaches
+    the ideal per-stage share, while leaving at least one layer for each
+    remaining stage.  Empty trailing stages are produced when there are fewer
+    layers than stages (cores idle — part of the scheme's inefficiency).
+    """
+    if num_stages <= 0:
+        raise ValueError(f"num_stages must be positive, got {num_stages}")
+    total = sum(l.macs for l in layers)
+    stages: list[list[LayerSpec]] = [[] for _ in range(num_stages)]
+    if not layers:
+        return stages
+    target = total / num_stages
+    stage = 0
+    acc = 0
+    for i, layer in enumerate(layers):
+        remaining_layers = len(layers) - i
+        remaining_stages = num_stages - stage
+        if stages[stage] and remaining_stages > 1:
+            # Close the stage when layers are running out relative to the
+            # stages left (each remaining layer then gets its own stage), or
+            # when adding this layer would land farther from the per-stage
+            # MAC target than closing now does.
+            running_out = remaining_layers < remaining_stages
+            closing_better = abs(acc + layer.macs - target) > abs(acc - target)
+            if running_out or closing_better:
+                stage += 1
+                acc = 0
+        stages[stage].append(layer)
+        acc += layer.macs
+    return stages
 
 
 @dataclass
@@ -105,14 +143,6 @@ class McmPipelinePlan:
             )
         return transfers
 
-    def imbalance(self) -> float:
-        """Max-over-mean stage MACs across occupied stages."""
-        macs = [s.macs for s in self.stages if s.layers]
-        if not macs:
-            return 1.0
-        mean = sum(macs) / len(macs)
-        return max(macs) / mean if mean else 1.0
-
 
 def stage_subspec(spec: NetworkSpec, index: int, layers: list[LayerSpec]) -> NetworkSpec:
     """A stage's layer range as a standalone spec for the plan builders.
@@ -138,10 +168,9 @@ def build_mcm_plan(
 ) -> McmPipelinePlan:
     """Contiguous layer ranges, one per chip, in snake order.
 
-    ``split`` defaults to the MAC-balanced
-    :func:`~repro.partition.pipeline.balanced_stage_split`; the stage-boundary
-    DP (:func:`repro.search.search_stage_split`) passes its own split.  Each
-    non-empty stage gets an intra-layer plan over the chip's
+    ``split`` defaults to the MAC-balanced :func:`balanced_stage_split`; the
+    stage-boundary DP (:func:`repro.search.search_stage_split`) passes its
+    own split.  Each non-empty stage gets an intra-layer plan over the chip's
     ``cores_per_chip`` cores via the same builder the serving cluster uses
     (``traditional`` or ``structure``; structure grouping is applied per
     stage sub-spec).  Networks with fewer compute layers than chips leave

@@ -9,6 +9,8 @@ serving loop (duck-typed on ``interval_cycles``):
 * **steady-state interval** — at full occupancy the slowest stage (compute
   plus its inbound transfer) sets the completion rhythm, so a batch of
   ``k`` costs ``latency + (k - 1) * interval``;
+* **imbalance** — the slowest stage over the mean stage, in cycles, among
+  the stages that compute (§II.B's load-imbalance measure);
 * **occupancy** — the *first* stage drains after ``input_load + stage_0 +
   (k - 1) * interval`` cycles, at which point the pipeline front is free
   to accept the next batch while the tail is still in flight.
@@ -79,6 +81,14 @@ class PipelineService:
     def interval_cycles(self) -> int:
         """Steady-state cycles per request: slowest stage + inbound transfer."""
         return max(s + t for s, t in zip(self.stage_cycles, self.transfer_cycles))
+
+    @property
+    def imbalance(self) -> float:
+        """Max over mean of the non-zero stage cycles; 1.0 is perfect balance."""
+        busy = [c for c in self.stage_cycles if c]
+        if not busy:
+            return 1.0
+        return max(busy) / (sum(busy) / len(busy))
 
     def batch_cycles(self, batch_size: int) -> int:
         """Finish time of a back-to-back batch relative to its start."""

@@ -4,8 +4,7 @@ An MCM places ``num_chips`` copies of the paper's CMP on one package and
 connects them with serial links that are explicitly *slower and narrower*
 than the on-chip NoC: activation hand-offs between pipeline stages pay
 serialization at the link bandwidth plus a per-hop latency, converted to
-core cycles exactly like :meth:`repro.partition.pipeline.PipelinePlan.\
-transfer_cycles` does for the on-chip case.
+core cycles.
 
 Two meshes appear at different granularities:
 
@@ -14,10 +13,10 @@ Two meshes appear at different granularities:
 * ``chip_mesh`` — the 2-D mesh *of chips*; inter-stage transfers are
   routed over it with Manhattan hop counts.
 
-:meth:`InterChipLink.match_noc` builds a link whose timing is bit-identical
-to the on-chip NoC hand-off formula — the degenerate case used by the
-equivalence tests (an MCM of 1-core chips must reproduce
-``partition/pipeline.py`` numbers exactly).
+:meth:`InterChipLink.match_noc` builds a link timed like a point-to-point
+hand-off over the on-chip NoC.  An MCM of one-core chips joined by it is
+the single-chip layer pipeline of §II.B, which is how the pipeline
+ablation times that scheme.
 """
 
 from __future__ import annotations
@@ -58,12 +57,12 @@ class InterChipLink:
 
     @staticmethod
     def match_noc(config: NoCConfig) -> "InterChipLink":
-        """A link timed identically to the on-chip NoC hand-off.
+        """A link timed like a point-to-point hand-off over the on-chip NoC.
 
-        Mirrors :meth:`repro.partition.pipeline.PipelinePlan.transfer_cycles`:
-        serialization at ``flit_bytes * physical_channels`` per cycle, head
-        latency ``(router_stages - 1) + (router_stages + link_latency - 1)
-        * hops``.  Used by the degenerate-equivalence tests.
+        Serialization at the NoC's injection bandwidth, ``flit_bytes *
+        physical_channels`` per cycle, plus the route's head latency
+        ``(router_stages - 1) + (router_stages + link_latency - 1) * hops``.
+        The §II.B pipeline ablation joins one-core chips with it.
         """
         return InterChipLink(
             bytes_per_cycle=config.flit_bytes * config.physical_channels,
@@ -143,9 +142,7 @@ class McmTopology:
     def snake_order(self) -> list[int]:
         """Chip ids row-major with alternating row direction.
 
-        Consecutive pipeline stages land on adjacent chips — the same
-        placement :func:`repro.partition.pipeline.build_pipeline_plan` uses
-        for cores.
+        Consecutive pipeline stages land on adjacent chips.
         """
         order: list[int] = []
         for y in range(self.chip_mesh.height):

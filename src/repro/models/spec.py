@@ -25,7 +25,6 @@ from ..nn.layers import (
     Dropout,
     Flatten,
     Layer,
-    LocalResponseNorm,
     MaxPool2D,
     ReLU,
     Sigmoid,
@@ -48,7 +47,7 @@ class LayerSpec:
     """
 
     name: str
-    kind: str  # conv | dense | pool | act | flatten | dropout | norm
+    kind: str  # conv | dense | pool | act | flatten | dropout | other
     in_shape: tuple[int, ...]
     out_shape: tuple[int, ...]
     kernel: int = 0
@@ -173,8 +172,6 @@ def _layer_to_spec(
         return LayerSpec(kind="flatten", **common)
     if isinstance(layer, Dropout):
         return LayerSpec(kind="dropout", **common)
-    if isinstance(layer, LocalResponseNorm):
-        return LayerSpec(kind="norm", **common)
     return LayerSpec(kind="other", **common)
 
 

@@ -9,13 +9,11 @@ from . import functional
 from .initializers import get_initializer
 from .layers import (
     AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
     Layer,
-    LocalResponseNorm,
     MaxPool2D,
     Parameter,
     ReLU,
@@ -24,7 +22,7 @@ from .layers import (
 )
 from .loss import MSELoss, SoftmaxCrossEntropy
 from .network import Sequential
-from .optim import SGD, Adam, Optimizer
+from .optim import SGD, Optimizer
 from .quantize import FixedPointFormat, dequantize, quantize, quantize_model
 from .regularizers import (
     CompositeRegularizer,
@@ -49,14 +47,11 @@ __all__ = [
     "AvgPool2D",
     "Flatten",
     "Dropout",
-    "LocalResponseNorm",
-    "BatchNorm",
     "Sequential",
     "SoftmaxCrossEntropy",
     "MSELoss",
     "Optimizer",
     "SGD",
-    "Adam",
     "Regularizer",
     "L1Regularizer",
     "L2Regularizer",

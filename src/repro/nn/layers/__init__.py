@@ -5,7 +5,6 @@ from .base import Layer, Parameter
 from .conv import Conv2D
 from .dense import Dense
 from .dropout import Dropout
-from .norm import BatchNorm, LocalResponseNorm
 from .pool import AvgPool2D, MaxPool2D
 from .shape import Flatten
 
@@ -21,6 +20,4 @@ __all__ = [
     "AvgPool2D",
     "Flatten",
     "Dropout",
-    "LocalResponseNorm",
-    "BatchNorm",
 ]

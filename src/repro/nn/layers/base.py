@@ -7,24 +7,11 @@ and regularizers can iterate over them uniformly.
 
 from __future__ import annotations
 
-import os
 from typing import Iterator
 
 import numpy as np
 
-__all__ = ["Parameter", "Layer", "buffer_reuse_enabled"]
-
-
-def buffer_reuse_enabled() -> bool:
-    """Whether layers keep scratch buffers alive across steps.
-
-    Training reallocates the same large intermediates (im2col columns, padded
-    inputs) every batch; reusing them avoids the malloc/page-fault cost at the
-    price of holding the buffers between steps.  ``REPRO_BUFFER_REUSE=0``
-    restores per-call allocation: the seed conv path, which the conv
-    fast-path equivalence tests use as their reference.
-    """
-    return os.environ.get("REPRO_BUFFER_REUSE", "1") != "0"
+__all__ = ["Parameter", "Layer"]
 
 
 class Parameter:
@@ -120,16 +107,16 @@ class Layer:
     ) -> np.ndarray:
         """A per-layer reusable work buffer of the requested shape and dtype.
 
-        Only one buffer is kept per key — a shape or dtype change (e.g. the
-        trailing partial batch) reallocates, so memory stays bounded by the
-        largest recent batch.  Buffers are *uninitialized* on reuse unless
-        ``zero`` asked for zeros at allocation; callers relying on zeroed
-        contents must either pass ``zero=True`` and preserve the zeros (the
-        padding border trick) or clear the buffer themselves.  With reuse
-        disabled this is exactly ``np.empty``/``np.zeros``.
+        Training reallocates the same large intermediates (im2col columns,
+        padded inputs) every batch; reusing them avoids the malloc/page-fault
+        cost at the price of holding the buffers between steps.  Only one
+        buffer is kept per key — a shape or dtype change (e.g. the trailing
+        partial batch) reallocates, so memory stays bounded by the largest
+        recent batch.  Buffers are *uninitialized* on reuse unless ``zero``
+        asked for zeros at allocation; callers relying on zeroed contents
+        must either pass ``zero=True`` and preserve the zeros (the padding
+        border trick) or clear the buffer themselves.
         """
-        if not buffer_reuse_enabled():
-            return np.zeros(shape, dtype) if zero else np.empty(shape, dtype)
         buf = self._scratch_buffers.get(key)
         if buf is None or buf.shape != shape or buf.dtype != dtype:
             buf = np.zeros(shape, dtype) if zero else np.empty(shape, dtype)

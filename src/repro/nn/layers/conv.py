@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..functional import col2im, conv_output_size, im2col, im2col_t
+from ..functional import col2im, conv_output_size, im2col_t
 from ..initializers import get_initializer
-from .base import Layer, buffer_reuse_enabled
+from .base import Layer
 
 __all__ = ["Conv2D"]
 
@@ -111,68 +111,44 @@ class Conv2D(Layer):
         cin_g = self.in_channels // g
         cout_g = self.out_channels // g
 
-        fast = buffer_reuse_enabled()
         dtype = np.result_type(x.dtype, self.weight.data.dtype)
         out = np.empty((n, self.out_channels, out_h, out_w), dtype=dtype)
         cols_per_group: list[np.ndarray] | None = [] if self.training else None
-        if fast:
-            # Hot path: channel-major columns (im2col_t) filled into reused
-            # scratch buffers.  The column matrices are the largest
-            # allocations in training, and the transposed layout copies in
-            # whole output rows instead of kernel-width runs — together
-            # roughly halving the time a step spends moving memory.  Only
-            # layer-internal buffers are reused; ``out`` escapes the layer
-            # and must stay fresh.
-            ncols = n * out_h * out_w
-            cols_shape = (cin_g * self.kernel_h * self.kernel_w, ncols)
-            pad_buf = None
-            if self.padding:
-                pad_buf = self._scratch(
-                    "pad",
-                    (n, cin_g, h + 2 * self.padding, w + 2 * self.padding),
-                    x.dtype,
-                    zero=True,
-                )
-            for gi in range(g):
-                xg = x[:, gi * cin_g:(gi + 1) * cin_g]
-                cols = im2col_t(
-                    xg, self.kernel_h, self.kernel_w, self.stride, self.padding,
-                    out=self._scratch(f"cols{gi}", cols_shape, x.dtype),
-                    pad_buffer=pad_buf,
-                )
-                wg = self.weight.data[gi * cout_g:(gi + 1) * cout_g].reshape(
-                    cout_g, -1
-                )
-                og = np.matmul(
-                    wg, cols, out=self._scratch("og", (cout_g, ncols), dtype)
-                )
-                out[:, gi * cout_g:(gi + 1) * cout_g] = (
-                    og.reshape(cout_g, n, out_h, out_w).transpose(1, 0, 2, 3)
-                )
-                if cols_per_group is not None:
-                    cols_per_group.append(cols)
-        else:
-            for gi in range(g):
-                xg = x[:, gi * cin_g:(gi + 1) * cin_g]
-                cols = im2col(
-                    xg, self.kernel_h, self.kernel_w, self.stride, self.padding
-                )
-                wg = self.weight.data[gi * cout_g:(gi + 1) * cout_g].reshape(
-                    cout_g, -1
-                )
-                og = cols @ wg.T  # (N*out_h*out_w, cout_g)
-                out[:, gi * cout_g:(gi + 1) * cout_g] = (
-                    og.reshape(n, out_h, out_w, cout_g).transpose(0, 3, 1, 2)
-                )
-                if cols_per_group is not None:
-                    cols_per_group.append(cols)
+        # Channel-major columns (im2col_t) filled into reused scratch
+        # buffers.  The column matrices are the largest allocations in
+        # training, and the transposed layout copies in whole output rows
+        # instead of kernel-width runs — together roughly halving the time a
+        # step spends moving memory.  Only layer-internal buffers are reused;
+        # ``out`` escapes the layer and must stay fresh.
+        ncols = n * out_h * out_w
+        cols_shape = (cin_g * self.kernel_h * self.kernel_w, ncols)
+        pad_buf = None
+        if self.padding:
+            pad_buf = self._scratch(
+                "pad",
+                (n, cin_g, h + 2 * self.padding, w + 2 * self.padding),
+                x.dtype,
+                zero=True,
+            )
+        for gi in range(g):
+            xg = x[:, gi * cin_g:(gi + 1) * cin_g]
+            cols = im2col_t(
+                xg, self.kernel_h, self.kernel_w, self.stride, self.padding,
+                out=self._scratch(f"cols{gi}", cols_shape, x.dtype),
+                pad_buffer=pad_buf,
+            )
+            wg = self.weight.data[gi * cout_g:(gi + 1) * cout_g].reshape(cout_g, -1)
+            og = np.matmul(wg, cols, out=self._scratch("og", (cout_g, ncols), dtype))
+            out[:, gi * cout_g:(gi + 1) * cout_g] = (
+                og.reshape(cout_g, n, out_h, out_w).transpose(1, 0, 2, 3)
+            )
+            if cols_per_group is not None:
+                cols_per_group.append(cols)
 
         if self.bias is not None:
             out += self.bias.data.reshape(1, -1, 1, 1)
 
-        self._cache = (
-            (x.shape, cols_per_group, out_h, out_w, fast) if self.training else None
-        )
+        self._cache = (x.shape, cols_per_group, out_h, out_w) if self.training else None
         return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
@@ -180,14 +156,13 @@ class Conv2D(Layer):
             raise RuntimeError(
                 f"{self.name}: backward called before a training-mode forward"
             )
-        x_shape, cols_per_group, out_h, out_w, fast = self._cache
-        # The cached im2col buffers are consumed by this pass; without scratch
-        # reuse they are freed as soon as the weight-gradient GEMM is done.
+        x_shape, cols_per_group, out_h, out_w = self._cache
         self._cache = None
-        n = x_shape[0]
+        n, _, in_h, in_w = x_shape
         g = self.groups
         cin_g = self.in_channels // g
         cout_g = self.out_channels // g
+        ncols = n * out_h * out_w
 
         if self.bias is not None:
             self.bias.grad += grad_out.sum(axis=(0, 2, 3))
@@ -195,62 +170,6 @@ class Conv2D(Layer):
         grad_in = np.empty(
             x_shape, dtype=np.result_type(grad_out.dtype, self.weight.data.dtype)
         )
-        if fast:
-            return self._backward_fast(grad_out, grad_in, cols_per_group, out_h, out_w)
-        for gi in range(g):
-            go = grad_out[:, gi * cout_g:(gi + 1) * cout_g]
-            go_mat = go.transpose(0, 2, 3, 1).reshape(-1, cout_g)
-            cols = cols_per_group[gi]
-            cols_per_group[gi] = None  # weight grad below is its last use
-
-            wg4 = self.weight.data[gi * cout_g:(gi + 1) * cout_g]
-            self.weight.grad[gi * cout_g:(gi + 1) * cout_g] += (
-                (go_mat.T @ cols).reshape(cout_g, cin_g, self.kernel_h, self.kernel_w)
-            )
-            del cols
-
-            if self.stride == 1 and self.kernel_h == self.kernel_w:
-                # Transposed convolution: grad_in is the correlation of
-                # grad_out with the 180-degree-rotated kernels, channels
-                # swapped — one im2col + GEMM instead of the scatter-add
-                # col2im, which dominates training time otherwise.
-                w_flip = np.ascontiguousarray(
-                    wg4[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-                ).reshape(cin_g, -1)  # (cin_g, cout_g*kh*kw)
-                pad_t = self.kernel_h - 1 - self.padding
-                go_cols = im2col(go, self.kernel_h, self.kernel_w, 1, pad_t)
-                grad_g = go_cols @ w_flip.T  # (N*h*w, cin_g)
-                grad_in[:, gi * cin_g:(gi + 1) * cin_g] = grad_g.reshape(
-                    n, x_shape[2], x_shape[3], cin_g
-                ).transpose(0, 3, 1, 2)
-            else:
-                grad_cols = go_mat @ wg4.reshape(cout_g, -1)
-                grad_in[:, gi * cin_g:(gi + 1) * cin_g] = col2im(
-                    grad_cols,
-                    (n, cin_g, x_shape[2], x_shape[3]),
-                    self.kernel_h,
-                    self.kernel_w,
-                    self.stride,
-                    self.padding,
-                )
-        return grad_in
-
-    def _backward_fast(
-        self,
-        grad_out: np.ndarray,
-        grad_in: np.ndarray,
-        cols_per_group: list,
-        out_h: int,
-        out_w: int,
-    ) -> np.ndarray:
-        """Backward against channel-major cached columns and scratch buffers."""
-        n = grad_in.shape[0]
-        in_h, in_w = grad_in.shape[2], grad_in.shape[3]
-        g = self.groups
-        cin_g = self.in_channels // g
-        cout_g = self.out_channels // g
-        ncols = n * out_h * out_w
-
         for gi in range(g):
             go = grad_out[:, gi * cout_g:(gi + 1) * cout_g]
             # (cout_g, N*out_h*out_w) with rows of out_h*out_w copied whole.

@@ -13,7 +13,7 @@ import numpy as np
 
 from .layers.base import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam"]
+__all__ = ["Optimizer", "SGD"]
 
 
 class Optimizer:
@@ -75,41 +75,3 @@ class SGD(Optimizer):
                 p.data += v
             else:
                 p.data -= self.lr * grad
-
-
-class Adam(Optimizer):
-    """Adam optimizer (Kingma & Ba, 2015)."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.parameters]
-        self._v = [np.zeros_like(p.data) for p in self.parameters]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1 ** self._t
-        bias2 = 1.0 - self.beta2 ** self._t
-        for i, p in enumerate(self.parameters):
-            m = self._sync_state(p, self._m, i)
-            v = self._sync_state(p, self._v, i)
-            grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * grad ** 2
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)

@@ -44,7 +44,6 @@ byte-identical to a serial run's.
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Any
 
@@ -538,31 +537,16 @@ _config: dict[str, Any] = {}
 _series: list[ServeTimeSeries | dict] = []
 
 
-def _env_int(name: str) -> int | None:
-    try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
-        return None
-
-
 def enable_timeseries(**config: Any) -> None:
     """Turn per-run time-series collection on.
 
     ``config`` overrides :class:`ServeTimeSeries` constructor defaults for
     every subsequently started series (``window_cycles``, ``max_windows``,
     ``window_reservoir``, ``cumulative_reservoir``, ``request_cap``,
-    ``slo_budget``, ``seed``).  Environment fallbacks: ``REPRO_TS_WINDOW``,
-    ``REPRO_TS_MAX_WINDOWS``, ``REPRO_TS_RESERVOIR``.
+    ``slo_budget``, ``seed``).
     """
     global _enabled, _config
-    merged = dict(config)
-    if "window_cycles" not in merged and _env_int("REPRO_TS_WINDOW") is not None:
-        merged["window_cycles"] = _env_int("REPRO_TS_WINDOW")
-    if "max_windows" not in merged and _env_int("REPRO_TS_MAX_WINDOWS") is not None:
-        merged["max_windows"] = _env_int("REPRO_TS_MAX_WINDOWS")
-    if "cumulative_reservoir" not in merged and _env_int("REPRO_TS_RESERVOIR") is not None:
-        merged["cumulative_reservoir"] = _env_int("REPRO_TS_RESERVOIR")
-    _config = merged
+    _config = dict(config)
     _enabled = True
 
 

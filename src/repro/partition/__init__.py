@@ -21,12 +21,6 @@ from .layout import (
     producer_layout_for,
     traffic_from_needs,
 )
-from .pipeline import (
-    PipelinePlan,
-    PipelineStage,
-    balanced_stage_split,
-    build_pipeline_plan,
-)
 from .degree import build_degree_plan, degree_out_bounds, valid_degree
 from .plan import LayerPlan, ModelParallelPlan, feature_bounds_from_channels
 from .sparsified import (
@@ -65,8 +59,4 @@ __all__ = [
     "annealed_placement",
     "apply_placement",
     "combined_traffic",
-    "PipelinePlan",
-    "PipelineStage",
-    "balanced_stage_split",
-    "build_pipeline_plan",
 ]

@@ -1,6 +1,6 @@
 """DP over MCM stage boundaries, exact-evaluated against the balanced split.
 
-:func:`repro.partition.pipeline.balanced_stage_split` balances *MACs*, but a
+:func:`repro.mcm.pipeline.balanced_stage_split` balances *MACs*, but a
 pipeline's steady-state rate is set by the slowest stage in **cycles** —
 compute plus NoC drain plus the stage's inbound inter-chip transfer, none of
 which are proportional to MACs (small late layers are drain-bound, stage
@@ -33,11 +33,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..mcm.pipeline import McmPipelinePlan, build_mcm_plan, stage_subspec
+from ..mcm.pipeline import (
+    McmPipelinePlan,
+    balanced_stage_split,
+    build_mcm_plan,
+    stage_subspec,
+)
 from ..mcm.service import PipelineService, mcm_service
 from ..mcm.topology import McmTopology
 from ..models.spec import LayerSpec, NetworkSpec
-from ..partition.pipeline import balanced_stage_split
 from ..plancost.oracle import analytic_layer_cycles
 from ..sim.engine import SimConfig
 

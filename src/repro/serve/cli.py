@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stages", type=int, default=None,
         help="pipeline depth in chips (default: --chips, one package-wide "
-        "pipeline; --chips/--stages pipelines serve as replica groups)",
+        "pipeline; --chips/--stages pipelines serve as replica groups; "
+        "single runs only)",
     )
     parser.add_argument(
         "--search-stages", action="store_true",
@@ -284,6 +285,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             chips=args.chips,
             cores_per_chip=args.cores,
             scheduler=args.scheduler,
+            max_batch=args.batch_size,
             slo_factor=args.slo_factor,
             seed=args.seed,
             workers=args.workers,
@@ -298,9 +300,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
         get_profile(args.profile),
         num_cores=args.cores,
         scheduler=args.scheduler,
+        max_batch=args.batch_size,
         slo_factor=args.slo_factor,
         seed=args.seed,
         workers=args.workers,
+        memory_channels=args.memory_channels,
     )
     print(render_tableS1(rows))
     return 0
@@ -317,6 +321,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--chips must be >= 1, got {args.chips}")
     if args.search_stages and (args.chips == 1 or args.sweep):
         parser.error("--search-stages requires --chips > 1 and a single run")
+    if args.stages is not None and args.sweep:
+        parser.error("--stages requires a single run (--sweep races every stage count)")
     if args.chips == 1:
         if args.stages is not None:
             parser.error("--stages requires --chips > 1")

@@ -128,6 +128,20 @@ class TestNewAblations:
             ("lenet", "intra-layer")
         ].single_pass_cycles
 
+    def test_pipeline_rows_pinned(self):
+        """The 16-core §II.B rows, by exact repr (so ints stay Python ints)."""
+        from repro.experiments.ablations import PipelineRow, run_pipeline_ablation
+
+        expected = [
+            PipelineRow("lenet", "pipeline", 11575, 8093, 2.7907771135781383),
+            PipelineRow("lenet", "intra-layer", 1811, 1811, 1.0),
+            PipelineRow("convnet", "pipeline", 52273, 28539, 2.6755139582364715),
+            PipelineRow("convnet", "intra-layer", 5270, 5270, 1.0),
+            PipelineRow("alexnet", "pipeline", 3370448, 1047349, 2.4731805784180616),
+            PipelineRow("alexnet", "intra-layer", 242103, 242103, 1.0),
+        ]
+        assert repr(run_pipeline_ablation()) == repr(expected)
+
     def test_quantization_runner(self):
         from repro.experiments.ablations import run_quantization_ablation
 

@@ -1,50 +1,22 @@
 """Degenerate-case equivalence: the MCM layer collapses onto existing models.
 
-Two properties pin ``repro.mcm`` to the code it generalizes:
+A 1-chip / 1-stage MCM serve run is bit-identical to the existing
+single-chip ``ServeResult`` — same records, same busy accounting — so the
+pipelined event-loop path is a strict generalization, not a fork.
 
-* an MCM of N one-core chips with a NoC-matched link IS the single-chip
-  layer pipeline of :mod:`repro.partition.pipeline` — per-stage compute,
-  transfers, latency, and steady-state interval all reproduce
-  ``PipelinePlan``'s numbers exactly;
-* a 1-chip / 1-stage MCM serve run is bit-identical to the existing
-  single-chip ``ServeResult`` — same records, same busy accounting — so
-  the pipelined event-loop path is a strict generalization, not a fork.
+The other degenerate case, N one-core chips joined by
+``InterChipLink.match_noc``, is the single-chip layer pipeline of §II.B:
+``run_pipeline_ablation`` times it that way, and
+``tests/experiments/test_runners.py`` pins its rows.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.chip import ChipConfig
-from repro.mcm import InterChipLink, McmTopology, build_mcm_plan, mcm_service
 from repro.models import lenet_spec
-from repro.noc.packet import NoCConfig
-from repro.noc.topology import Mesh2D
-from repro.partition.pipeline import build_pipeline_plan
 from repro.serve import PoissonWorkload, build_mcm_cluster, build_spec_cluster
 from repro.serve.scheduler import make_scheduler
 from repro.serve.simulator import ServeSimulator
-
-
-class TestPerCoreStagesReproducePipelinePlan:
-    @settings(max_examples=6, deadline=None)
-    @given(num_stages=st.integers(min_value=2, max_value=8))
-    def test_stagewise_numbers_match(self, num_stages):
-        spec = lenet_spec()
-        noc = NoCConfig()
-        topo = McmTopology.build(
-            num_stages, cores_per_chip=1, link=InterChipLink.match_noc(noc)
-        )
-        svc = mcm_service(build_mcm_plan(spec, topo))
-
-        ref = build_pipeline_plan(spec, num_stages)
-        core_model = ChipConfig.table2(16).core_model()
-        mesh = Mesh2D.for_nodes(num_stages)
-        compute, transfers = ref._stage_times(core_model, mesh, noc)
-
-        assert list(svc.stage_cycles) == compute
-        assert list(svc.transfer_cycles) == [0] + transfers
-        assert svc.body_cycles == ref.single_pass_latency(core_model, mesh, noc)
-        assert svc.interval_cycles == ref.steady_state_interval(core_model, mesh, noc)
 
 
 class TestSingleStageServeBitIdentity:

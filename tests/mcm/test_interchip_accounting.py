@@ -7,7 +7,6 @@ at inter-chip (not on-chip) latency/bandwidth.
 from repro.mcm import InterChipLink, McmTopology, build_mcm_plan, mcm_service
 from repro.models import lenet_spec
 from repro.noc.packet import NoCConfig
-from repro.partition.pipeline import PipelinePlan
 
 
 class TestTwoChipHandComputedExample:
@@ -39,11 +38,11 @@ class TestTwoChipHandComputedExample:
 
     def test_not_charged_at_onchip_rate(self):
         """The default inter-chip link is slower and narrower than the NoC:
-        the same bytes over one hop cost strictly more than the on-chip
-        hand-off formula would charge."""
+        the same bytes over one hop cost strictly more than a link timed
+        like the on-chip NoC would charge."""
         topo, plan, _ = self._plan_and_service()
         bytes_crossing = plan.stages[0].output_bytes
-        onchip = PipelinePlan.transfer_cycles(bytes_crossing, 1, NoCConfig())
+        onchip = InterChipLink.match_noc(NoCConfig()).transfer_cycles(bytes_crossing, 1)
         interchip = topo.link.transfer_cycles(bytes_crossing, 1)
         assert interchip > onchip
 

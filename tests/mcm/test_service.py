@@ -39,6 +39,13 @@ class TestPipelineServiceMath:
         assert svc.occupancy_cycles(3) == 20 + 50 + 2 * svc.interval_cycles
         assert svc.occupancy_cycles(3) < svc.batch_cycles(3)
 
+    def test_imbalance_is_max_over_mean_of_computing_stages(self):
+        """Empty (zero-cycle) stages are idle chips, not fast ones."""
+        assert _service(stage_cycles=(50, 100)).imbalance == 100 / 75
+        svc = _service(stage_cycles=(60, 0, 20), transfer_cycles=(0, 5, 0))
+        assert svc.imbalance == 60 / 40
+        assert _service(stage_cycles=(70, 70), transfer_cycles=(0, 9)).imbalance == 1.0
+
     def test_single_stage_occupancy_equals_batch(self):
         """1-stage degenerate: the front IS the whole pipeline, so release
         coincides with completion — the plain-cluster event sequence."""

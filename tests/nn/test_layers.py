@@ -5,12 +5,10 @@ import pytest
 
 from repro.nn import (
     AvgPool2D,
-    BatchNorm,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
-    LocalResponseNorm,
     MaxPool2D,
     Parameter,
     ReLU,
@@ -18,6 +16,7 @@ from repro.nn import (
     Tanh,
 )
 
+from . import conv_reference
 from ..conftest import numeric_gradient
 
 
@@ -144,9 +143,10 @@ class TestConv2DCacheLifecycle:
 
 
 class TestConv2DFastPathEquivalence:
-    """REPRO_BUFFER_REUSE=1 (channel-major columns, kn2row backward, scratch
-    reuse) and =0 (the original row-major im2col path) must compute the same
-    convolution; only summation order differs, so allclose not bit-equal."""
+    """``Conv2D`` (channel-major columns, kn2row backward, scratch reuse) and
+    the seed's row-major im2col path in ``conv_reference`` must compute the
+    same convolution; only summation order differs, so allclose not
+    bit-equal."""
 
     CASES = [
         dict(cin=3, cout=8, k=5, stride=1, padding=2, groups=1, hw=10),
@@ -156,29 +156,26 @@ class TestConv2DFastPathEquivalence:
     ]
 
     @pytest.mark.parametrize("case", CASES)
-    def test_forward_backward_agree(self, case, rng, monkeypatch):
+    def test_forward_backward_agree(self, case, rng):
         x = rng.normal(size=(2, case["cin"], case["hw"], case["hw"]))
-        results = {}
-        for gate in ("1", "0"):
-            monkeypatch.setenv("REPRO_BUFFER_REUSE", gate)
-            conv = Conv2D(
-                case["cin"], case["cout"], case["k"], stride=case["stride"],
-                padding=case["padding"], groups=case["groups"],
-                rng=np.random.default_rng(7),
-            )
-            out = conv.forward(x)
-            g = np.random.default_rng(8).normal(size=out.shape)
-            conv.zero_grad()
-            grad_in = conv.backward(g)
-            results[gate] = (out, grad_in, conv.weight.grad.copy(),
-                            conv.bias.grad.copy())
-        for fast, slow in zip(results["1"], results["0"]):
-            np.testing.assert_allclose(fast, slow, atol=1e-10)
+        conv = Conv2D(
+            case["cin"], case["cout"], case["k"], stride=case["stride"],
+            padding=case["padding"], groups=case["groups"],
+            rng=np.random.default_rng(7),
+        )
+        ref_out, ref_cols = conv_reference.conv_forward(conv, x)
+        out = conv.forward(x)
+        g = np.random.default_rng(8).normal(size=out.shape)
+        conv.zero_grad()
+        grad_in = conv.backward(g)
+        reference = (ref_out, *conv_reference.conv_backward(conv, x.shape, ref_cols, g))
+        fast = (out, grad_in, conv.weight.grad, conv.bias.grad)
+        for got, want in zip(fast, reference):
+            np.testing.assert_allclose(got, want, atol=1e-10)
 
-    def test_fast_path_repeated_steps_are_stable(self, rng, monkeypatch):
+    def test_fast_path_repeated_steps_are_stable(self, rng):
         """Scratch buffers must not leak state between steps: two identical
         forward/backward rounds produce identical results."""
-        monkeypatch.setenv("REPRO_BUFFER_REUSE", "1")
         conv = Conv2D(3, 4, 5, padding=2, rng=np.random.default_rng(3))
         x = rng.normal(size=(2, 3, 8, 8))
         g = rng.normal(size=(2, 4, 8, 8))
@@ -350,54 +347,3 @@ class TestDropout:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             Dropout(1.0)
-
-
-class TestLRN:
-    def test_forward_reduces_magnitude(self, rng):
-        lrn = LocalResponseNorm(size=5)
-        x = np.abs(rng.normal(size=(2, 8, 3, 3))) + 1.0
-        out = lrn.forward(x)
-        assert np.all(np.abs(out) < np.abs(x))
-
-    def test_input_gradient(self, rng):
-        lrn = LocalResponseNorm(size=3, alpha=1e-2, beta=0.75, k=2.0)
-        check_input_gradient(lrn, rng.normal(size=(1, 5, 2, 2)), atol=1e-4)
-
-    def test_even_window_rejected(self):
-        with pytest.raises(ValueError):
-            LocalResponseNorm(size=4)
-
-
-class TestBatchNorm:
-    def test_normalizes_batch(self, rng):
-        bn = BatchNorm(6)
-        x = rng.normal(loc=3.0, scale=2.0, size=(50, 6))
-        out = bn.forward(x)
-        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
-        np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-2)
-
-    def test_4d_input(self, rng):
-        bn = BatchNorm(3)
-        out = bn.forward(rng.normal(size=(4, 3, 5, 5)))
-        assert out.shape == (4, 3, 5, 5)
-
-    def test_eval_uses_running_stats(self, rng):
-        bn = BatchNorm(4, momentum=0.0)  # running stats = last batch
-        x = rng.normal(size=(64, 4))
-        bn.forward(x)
-        bn.eval()
-        out = bn.forward(x)
-        assert np.all(np.isfinite(out))
-
-    def test_input_gradient(self, rng):
-        bn = BatchNorm(3)
-        check_input_gradient(bn, rng.normal(size=(6, 3)), atol=1e-4)
-
-    def test_param_gradients(self, rng):
-        bn = BatchNorm(3)
-        x = rng.normal(size=(6, 3))
-        check_param_gradient(bn, x, bn.gamma, atol=1e-4)
-
-    def test_rejects_3d(self, rng):
-        with pytest.raises(ValueError):
-            BatchNorm(3).forward(rng.normal(size=(2, 3, 4)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Adam, MSELoss, Parameter, SGD, SoftmaxCrossEntropy
+from repro.nn import MSELoss, Parameter, SGD, SoftmaxCrossEntropy
 from repro.nn.functional import log_softmax
 
 from ..conftest import numeric_gradient
@@ -119,23 +119,3 @@ class TestSGD:
     def test_rejects_bad_momentum(self):
         with pytest.raises(ValueError):
             SGD([Parameter(np.ones(1))], lr=0.1, momentum=1.0)
-
-
-class TestAdam:
-    def test_converges_on_quadratic(self, rng):
-        p, target = quadratic_params(rng)
-        opt = Adam([p], lr=0.1)
-        for _ in range(500):
-            p.zero_grad()
-            p.grad += 2 * (p.data - target)
-            opt.step()
-        np.testing.assert_allclose(p.data, target, atol=1e-4)
-
-    def test_first_step_magnitude(self):
-        """Adam's first step is ~lr regardless of gradient scale."""
-        for scale in (1e-3, 1e3):
-            p = Parameter(np.zeros(1))
-            opt = Adam([p], lr=0.01)
-            p.grad += scale
-            opt.step()
-            assert np.isclose(abs(p.data[0]), 0.01, rtol=1e-3)

@@ -208,14 +208,6 @@ class TestGlobalState:
         assert global_timeseries() == []
         disable_timeseries()
 
-    def test_env_fallbacks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TS_WINDOW", "128")
-        monkeypatch.setenv("REPRO_TS_MAX_WINDOWS", "16")
-        enable_timeseries()
-        cfg = timeseries_config()
-        assert cfg["window_cycles"] == 128
-        assert cfg["max_windows"] == 16
-
     def test_adopted_records_keep_order(self):
         enable_timeseries()
         start_series("local", groups=1)

@@ -62,6 +62,11 @@ class TestMcmValidation:
         with pytest.raises(SystemExit):
             main(["--network", "lenet", "--chips", "0", "--cores", "8"])
 
+    def test_stages_rejected_in_sweep(self, capsys):
+        """The sweep races every stage count, so a fixed depth is an error."""
+        with pytest.raises(SystemExit):
+            main(["--chips", "4", "--sweep", "--stages", "2", "--profile", "fast"])
+
 
 class TestMcmSweep:
     def test_sweep_fast_profile_has_global_frontier(self, capsys):

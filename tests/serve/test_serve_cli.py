@@ -73,6 +73,22 @@ class TestSweep:
         assert "Table S1" in out
         assert "traditional" in out and "structure" in out
 
+    @pytest.mark.parametrize(
+        "base, flag",
+        [
+            ([], ["--memory-channels", "1"]),
+            (["--scheduler", "batch"], ["--batch-size", "1"]),
+        ],
+        ids=["memory_channels", "batch_size"],
+    )
+    def test_sweep_honours_flag(self, base, flag, capsys):
+        """The single-chip sweep serves under the flag, not past it."""
+        args = ["--sweep", "--profile", "fast", *base]
+        assert main(args) == 0
+        default = capsys.readouterr().out
+        assert main(args + flag) == 0
+        assert capsys.readouterr().out != default
+
 
 class TestEntryPoint:
     def test_serve_main_delegates(self, capsys):

@@ -26,6 +26,40 @@ def paper_rows():
     return run_tableS1(profile=PAPER)
 
 
+#: Every field of the fast-profile rows, in this order, Pareto flags included.
+PINNED_FIELDS = (
+    "scheme", "group_cores", "replicas", "load_factor", "rate_per_megacycle",
+    "p50", "p99", "throughput", "goodput", "violation_rate", "utilization",
+    "pareto",
+)
+PINNED_FAST_ROWS = [
+    ("traditional", 16, 1, 0.2, 30.698388334612435, 6515, 15896, 31.600355777872252,
+     31.600355777872252, 0.0, 0.20587631789283772, True),
+    ("traditional", 16, 1, 2.0, 306.98388334612434, 225436, 482589, 153.49194167306217,
+     38.88462522384241, 0.7466666666666667, 1.0, False),
+    ("traditional", 4, 4, 0.2, 30.698388334612435, 14842, 14842, 31.545018210939013,
+     31.545018210939013, 0.0, 0.11704779007168921, True),
+    ("traditional", 4, 4, 2.0, 306.98388334612434, 44006, 94981, 256.29152990665864,
+     256.29152990665864, 0.0, 0.9509697217186568, False),
+    ("traditional", 1, 16, 0.2, 30.698388334612435, 50714, 50714, 31.30882798324602,
+     31.30882798324602, 0.0, 0.09923724389639617, False),
+    ("traditional", 1, 16, 2.0, 306.98388334612434, 60140, 78791, 264.0993858808947,
+     264.0993858808947, 0.0, 0.8370960159727309, True),
+    ("structure", 16, 1, 0.2, 30.698388334612435, 2449, 4729, 31.627447226441557,
+     31.627447226441557, 0.0, 0.07745561825755537, True),
+    ("structure", 16, 1, 2.0, 306.98388334612434, 3925, 9745, 302.02903103046265,
+     302.02903103046265, 0.0, 0.7396690969936031, True),
+    ("structure", 4, 4, 0.2, 30.698388334612435, 6629, 6629, 31.599596873409485,
+     31.599596873409485, 0.0, 0.05236843191845787, False),
+    ("structure", 4, 4, 2.0, 306.98388334612434, 6629, 9284, 300.18311169813586,
+     300.18311169813586, 0.0, 0.49747846186173567, True),
+]
+
+
+def test_fast_rows_pinned(rows):
+    assert [tuple(getattr(r, f) for f in PINNED_FIELDS) for r in rows] == PINNED_FAST_ROWS
+
+
 class TestSweepShape:
     def test_row_count_and_configurations(self, rows):
         # traditional x {16,4,1} + structure x {16,4}, each at 2 fast-profile
