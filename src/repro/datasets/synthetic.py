@@ -27,7 +27,16 @@ __all__ = [
     "synthetic_mnist",
     "synthetic_cifar10",
     "synthetic_imagenet10",
+    "MNIST_NAME",
+    "CIFAR10_NAME",
+    "IMAGENET10_NAME",
 ]
+
+#: Names the ``synthetic_*`` builders give their datasets, readable before
+#: any array is generated (cache keys embed them).
+MNIST_NAME = "synthetic-mnist"
+CIFAR10_NAME = "synthetic-cifar10"
+IMAGENET10_NAME = "synthetic-imagenet10"
 
 
 def _box_blur(img: np.ndarray, passes: int = 3) -> np.ndarray:
@@ -171,7 +180,7 @@ def synthetic_mnist(
     ``flat=True`` returns 784-dim vectors, the input layout of the paper's MLP.
     """
     return SyntheticImageDataset.generate(
-        "synthetic-mnist", (1, 28, 28), train_size=train_size, test_size=test_size,
+        MNIST_NAME, (1, 28, 28), train_size=train_size, test_size=test_size,
         seed=seed, flat=flat, noise=noise,
     )
 
@@ -181,7 +190,7 @@ def synthetic_cifar10(
 ) -> SyntheticImageDataset:
     """CIFAR-10-shaped dataset: 3x32x32 colour images, 10 classes."""
     return SyntheticImageDataset.generate(
-        "synthetic-cifar10", (3, 32, 32), train_size=train_size,
+        CIFAR10_NAME, (3, 32, 32), train_size=train_size,
         test_size=test_size, seed=seed, noise=noise,
     )
 
@@ -200,6 +209,6 @@ def synthetic_imagenet10(
     10-class structure.
     """
     return SyntheticImageDataset.generate(
-        "synthetic-imagenet10", (3, size, size), train_size=train_size,
+        IMAGENET10_NAME, (3, size, size), train_size=train_size,
         test_size=test_size, seed=seed, noise=noise, max_shift=3,
     )

@@ -84,7 +84,7 @@ def run_network(
     ]
     for scheme in ("ss", "ss_mask"):
         outcome = run_sparsified_scheme(
-            network, scheme, num_cores, profile, base_plan,
+            network, scheme, num_cores, profile, base_plan, base_acc,
             dataset=dataset, workers=workers,
         )
         rows.append(

@@ -12,10 +12,8 @@ import functools
 
 from ..analysis.tables import render_table
 from ..parallel import pmap
-from ..partition.sparsified import build_sparsified_plan
-from .common import dataset_for, run_sparsified_scheme, simulator_for, train_baseline
 from .config import ExperimentProfile, PAPER
-from .table4 import Table4Row
+from .table4 import Table4Row, run_network
 
 __all__ = ["run_table6", "render_table6", "PAPER_TABLE6"]
 
@@ -36,36 +34,6 @@ PAPER_TABLE6 = {
 DEFAULT_CORE_COUNTS = (8, 32)
 
 
-def _run_core_count(cores: int, profile: ExperimentProfile) -> list[Table4Row]:
-    """LeNet baseline/SS/SS_Mask rows for one chip size."""
-    dataset = dataset_for("lenet", profile)
-    base_model, base_acc = train_baseline("lenet", profile, dataset=dataset)
-    base_plan = build_sparsified_plan(base_model, cores, scheme="baseline")
-    base_result = simulator_for(cores).simulate(base_plan)
-    rows = [
-        Table4Row(
-            network="lenet", scheme="baseline", accuracy=base_acc,
-            traffic_rate=1.0, speedup=1.0, energy_reduction=0.0, lam=0.0,
-        )
-    ]
-    for scheme in ("ss", "ss_mask"):
-        outcome = run_sparsified_scheme(
-            "lenet", scheme, cores, profile, base_plan, dataset=dataset
-        )
-        rows.append(
-            Table4Row(
-                network="lenet",
-                scheme=scheme,
-                accuracy=outcome.accuracy,
-                traffic_rate=outcome.plan.traffic_rate_vs(base_plan),
-                speedup=outcome.result.speedup_vs(base_result),
-                energy_reduction=outcome.result.comm_energy_reduction_vs(base_result),
-                lam=outcome.lam,
-            )
-        )
-    return rows
-
-
 def run_table6(
     profile: ExperimentProfile = PAPER,
     core_counts: tuple[int, ...] = DEFAULT_CORE_COUNTS,
@@ -73,11 +41,13 @@ def run_table6(
 ) -> dict[int, list[Table4Row]]:
     """LeNet baseline/SS/SS_Mask rows per core count (one pmap job each).
 
-    The shared LeNet baseline is raced through the single-flight cache: the
-    first core count's worker trains it, the others load the artifact.
+    Each core count is Table IV's :func:`~repro.experiments.table4.run_network`
+    for LeNet on that chip.  The shared LeNet baseline is raced through the
+    single-flight cache: the first core count's worker trains it, the others
+    load the artifact.
     """
     per_cores = pmap(
-        functools.partial(_run_core_count, profile=profile),
+        functools.partial(run_network, "lenet", profile),
         core_counts,
         workers=workers,
         label="table6.cores",

@@ -87,7 +87,8 @@ def run_tableS1(
     )
 
 
-def render_tableS1(rows: list[TableMcmRow]) -> str:
+def render_tableS1(rows: list[TableMcmRow], scheduler: str = "fifo") -> str:
+    """Table S1 as text; ``scheduler`` names the policy the rows served with."""
     return render_table(
         [
             "scheme", "grp cores", "replicas", "load", "rate/Mcyc",
@@ -113,6 +114,6 @@ def render_tableS1(rows: list[TableMcmRow]) -> str:
         ],
         title=(
             "Table S1 — serving QoS: latency-throughput Pareto frontier "
-            f"({SERVE_NETWORK}, Poisson arrivals, FIFO dispatch)"
+            f"({SERVE_NETWORK}, Poisson arrivals, {scheduler.upper()} dispatch)"
         ),
     )

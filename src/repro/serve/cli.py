@@ -47,6 +47,15 @@ from .workload import ClosedLoopWorkload, LoadGenerator, MMPPWorkload, PoissonWo
 
 __all__ = ["main"]
 
+#: Single-run flags and their defaults.  A sweep serves its own network,
+#: load and request counts, so it rejects these flags rather than ignore them.
+_SINGLE_RUN_DEFAULTS = {
+    "network": "convnet",
+    "workload": "poisson",
+    "rate": 20.0,
+    "requests": 200,
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Request-level serving simulation on the Learn-to-Scale chip.",
     )
     parser.add_argument(
-        "--network", default="convnet", choices=sorted(SPEC_BUILDERS),
-        help="model-zoo network to serve (default: convnet)",
+        "--network", default=None, choices=sorted(SPEC_BUILDERS),
+        help="model-zoo network to serve (default: convnet; single runs only)",
     )
     parser.add_argument(
         "--cores", type=int, default=16,
@@ -112,19 +121,21 @@ def _build_parser() -> argparse.ArgumentParser:
         help="max batch size for --scheduler batch",
     )
     parser.add_argument(
-        "--workload", default="poisson", choices=("poisson", "mmpp", "closed"),
-        help="load generator",
+        "--workload", default=None, choices=("poisson", "mmpp", "closed"),
+        help="load generator (default: poisson; single runs only)",
     )
     parser.add_argument(
-        "--rate", type=float, default=20.0,
-        help="open-loop arrival rate in requests per megacycle",
+        "--rate", type=float, default=None,
+        help="open-loop arrival rate in requests per megacycle (default: 20; "
+        "single runs only)",
     )
     parser.add_argument(
         "--burst-rate", type=float, default=None,
         help="mmpp burst-state rate (default: 8x --rate)",
     )
     parser.add_argument(
-        "--requests", type=int, default=200, help="open-loop request count"
+        "--requests", type=int, default=None,
+        help="open-loop request count (default: 200; single runs only)",
     )
     parser.add_argument(
         "--clients", type=int, default=8, help="closed-loop client population"
@@ -306,7 +317,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         memory_channels=args.memory_channels,
     )
-    print(render_tableS1(rows))
+    print(render_tableS1(rows, scheduler=args.scheduler))
     return 0
 
 
@@ -323,6 +334,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--search-stages requires --chips > 1 and a single run")
     if args.stages is not None and args.sweep:
         parser.error("--stages requires a single run (--sweep races every stage count)")
+    for dest, default in _SINGLE_RUN_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif args.sweep:
+            parser.error(
+                f"--{dest} requires a single run (--sweep serves its own "
+                "network under Poisson load at its own rates and request counts)"
+            )
     if args.chips == 1:
         if args.stages is not None:
             parser.error("--stages requires --chips > 1")

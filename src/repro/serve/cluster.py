@@ -89,9 +89,10 @@ class PlanService:
         return self.input_load_cycles + batch_size * self.body_cycles
 
 
-#: (model, scheme, cores, traffic bytes, MACs, sim knobs) -> PlanService.
-#: Plan geometry is fully determined by those fields for every builder in
-#: ``repro.partition``, so the key identifies a distinct plan.
+#: (model, scheme, cores, per-layer plan, sim knobs) -> PlanService.  A
+#: layer enters the key as its spec, its per-core workloads and its traffic
+#: bytes — everything the engine reads of it — so two plans share an entry
+#: only when the engine would time them identically.
 _SERVICE_MEMO: dict[tuple, PlanService] = {}
 
 
@@ -116,9 +117,12 @@ def service_for_plan(
         name,
         plan.scheme,
         plan.num_cores,
-        plan.total_traffic_bytes,
-        plan.total_macs,
+        tuple(
+            (lp.layer, tuple(lp.core_workloads), lp.traffic.bytes_matrix.tobytes())
+            for lp in plan.layers
+        ),
         cfg.comm_mode,
+        cfg.max_cycle_sim_flits,
         cfg.include_dram,
         cfg.include_input_load,
     )

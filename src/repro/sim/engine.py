@@ -32,6 +32,9 @@ exact traffic matrix, every :class:`~repro.noc.packet.NoCConfig` field, and
 the mesh shape, so any change to the network or the traffic invalidates the
 entry.  Corrupt or truncated entries fall back to fresh simulation, exactly
 like ``load_state``.  Disable with ``SimConfig(comm_cache=False)``.
+:func:`memoized_drain` is the one path through the memo: the engine's
+cycle-level drains and the NoC ablations (``repro.experiments.ablations``)
+both drain through it.
 
 The returned :class:`~repro.sim.results.SimulationResult` reports how many
 drains were served from the memo vs simulated (``drain_memo_hits`` /
@@ -71,6 +74,7 @@ __all__ = [
     "SimConfig",
     "InferenceSimulator",
     "drain_memo_key",
+    "memoized_drain",
     "memoized_drain_estimate",
     "input_load_cycles",
 ]
@@ -365,67 +369,75 @@ class InferenceSimulator:
 
     def _cycle_sim(self, traffic: TrafficMatrix) -> tuple[int, int, EnergyBreakdown]:
         chip = self.chip
-        # A profiled drain needs the cycle-level run for its per-link counts,
-        # so memo reads are bypassed (entries are still written; the returned
-        # numbers are identical either way).
-        profiling = nocprof.noc_profiling_enabled()
-        key = None
-        if self.config.comm_cache:
-            key = drain_memo_key(chip.mesh, chip.noc, traffic)
-            if not profiling:
-                memo = _load_drain_memo(key)
-                if memo is not None:
-                    cycles, flit_hops, events = memo
-                    stats = NoCStats(
-                        cycles=cycles,
-                        packets_delivered=0,
-                        flits_delivered=0,
-                        flit_hops=flit_hops,
-                        avg_packet_latency=0.0,
-                        max_packet_latency=0,
-                        energy=events,
-                    )
-                    energy = chip.noc_energy.simulation_energy(
-                        stats, chip.mesh.num_nodes
-                    )
-                    self._memo_hits += 1
-                    METRICS.inc("cache.drain_memo.hit")
-                    METRICS.inc("sim.drain_cycles", cycles)
-                    with span("sim.drain", cached=True) as sp:
-                        sp.set(cycles=cycles, flit_hops=flit_hops)
-                    return cycles, flit_hops, energy
-            self._memo_misses += 1
-            METRICS.inc("cache.drain_memo.miss")
-
-        profile = (
-            nocprof.global_profile(chip.mesh.width, chip.mesh.height)
-            if profiling
-            else None
-        )
-        with span("sim.drain", cached=False) as sp:
-            sim = NoCSimulator(chip.mesh, chip.noc, profile=profile)
-            sim.inject(traffic.to_packets(chip.noc))
-            stats = sim.run()
-            sp.set(cycles=stats.cycles, flit_hops=stats.flit_hops)
-        METRICS.inc("sim.drain_cycles", stats.cycles)
+        memo = self.config.comm_cache
+        stats, hit = memoized_drain(chip.mesh, chip.noc, traffic, memo=memo)
+        if memo:
+            if hit:
+                self._memo_hits += 1
+            else:
+                self._memo_misses += 1
         energy = chip.noc_energy.simulation_energy(stats, chip.mesh.num_nodes)
-        if key is not None:
-            # The analytical estimate rides along in the same entry (cheap to
-            # compute next to a cycle-level run, and it saves calibration
-            # sampling a recompute later — see memoized_drain_estimate).
-            est = estimate_drain_cycles(traffic, chip.mesh, chip.noc)
-            _merge_drain_entry(
-                key,
-                {
-                    "cycles": stats.cycles,
-                    "flit_hops": stats.flit_hops,
-                    "energy": {f: getattr(stats.energy, f) for f in _ENERGY_FIELDS},
-                    "analytical": {
-                        f: getattr(est, f) for f in _ANALYTICAL_FIELDS
-                    },
-                },
-            )
         return stats.cycles, stats.flit_hops, energy
+
+
+def memoized_drain(
+    mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix, memo: bool = True
+) -> tuple[NoCStats, bool]:
+    """Cycle-level drain of one burst, read from the drain memo when it can be.
+
+    Returns the drain's stats and whether they came from the memo.  A memo
+    entry holds only the drain time, flit-hops and energy events, so a hit's
+    packet counts and latencies read zero.  ``memo=False`` always simulates
+    and writes nothing.  A profiled drain needs the cycle-level run for its
+    per-link counts, so memo reads are bypassed while NoC profiling is on
+    (entries are still written; the returned numbers are identical either
+    way).
+    """
+    profiling = nocprof.noc_profiling_enabled()
+    key = None
+    if memo:
+        key = drain_memo_key(mesh, noc, traffic)
+        entry = None if profiling else _load_drain_memo(key)
+        if entry is not None:
+            cycles, flit_hops, events = entry
+            METRICS.inc("cache.drain_memo.hit")
+            METRICS.inc("sim.drain_cycles", cycles)
+            with span("sim.drain", cached=True) as sp:
+                sp.set(cycles=cycles, flit_hops=flit_hops)
+            stats = NoCStats(
+                cycles=cycles,
+                packets_delivered=0,
+                flits_delivered=0,
+                flit_hops=flit_hops,
+                avg_packet_latency=0.0,
+                max_packet_latency=0,
+                energy=events,
+            )
+            return stats, True
+        METRICS.inc("cache.drain_memo.miss")
+
+    profile = nocprof.global_profile(mesh.width, mesh.height) if profiling else None
+    with span("sim.drain", cached=False) as sp:
+        sim = NoCSimulator(mesh, noc, profile=profile)
+        sim.inject(traffic.to_packets(noc))
+        stats = sim.run()
+        sp.set(cycles=stats.cycles, flit_hops=stats.flit_hops)
+    METRICS.inc("sim.drain_cycles", stats.cycles)
+    if key is not None:
+        # The analytical estimate rides along in the same entry (cheap to
+        # compute next to a cycle-level run, and it saves calibration
+        # sampling a recompute later — see memoized_drain_estimate).
+        est = estimate_drain_cycles(traffic, mesh, noc)
+        _merge_drain_entry(
+            key,
+            {
+                "cycles": stats.cycles,
+                "flit_hops": stats.flit_hops,
+                "energy": {f: getattr(stats.energy, f) for f in _ENERGY_FIELDS},
+                "analytical": {f: getattr(est, f) for f in _ANALYTICAL_FIELDS},
+            },
+        )
+    return stats, False
 
 
 def _load_drain_memo(key: str) -> tuple[int, int, EnergyEvents] | None:

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.models import convnet_spec, lenet_spec
+from repro.models.spec import SpecBuilder
+from repro.partition.traditional import build_traditional_plan
 from repro.serve.cluster import (
     Cluster,
     PlanService,
@@ -55,6 +57,22 @@ class TestServiceMemo:
         again = service_for_plan(build_replica_plan(lenet_spec(), 4), model="lenet")
         assert len(calls) == 1
         assert first == again
+
+    def test_plans_differing_only_in_layers_never_share_a_latency(self):
+        # Same name, scheme, core count, MACs (10,000) and traffic (none):
+        # only the layer shapes tell these one-core plans apart.
+        chip = ChipConfig.table2(1)
+        for first, second in [((1000, 10), (10, 1000)), ((10, 1000), (1000, 10))]:
+            clear_service_memo()
+            plans = [
+                build_traditional_plan(
+                    SpecBuilder("net", (fan_in,)).dense("fc", fan_out).build(), 1
+                )
+                for fan_in, fan_out in (first, second)
+            ]
+            engine = [InferenceSimulator(chip).simulate(p).total_cycles for p in plans]
+            assert engine[0] != engine[1]
+            assert [service_for_plan(p).latency_cycles for p in plans] == engine
 
     def test_matches_engine_result(self):
         plan = build_replica_plan(lenet_spec(), 4)

@@ -90,6 +90,30 @@ class TestSweep:
         assert capsys.readouterr().out != default
 
 
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--network", "lenet"],
+            ["--requests", "40"],
+            ["--workload", "mmpp"],
+            ["--rate", "5"],
+        ],
+        ids=["network", "requests", "workload", "rate"],
+    )
+    def test_sweep_rejects_single_run_flag(self, flag, capsys):
+        """The sweep serves its own network and load, so the flag is an error."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--sweep", "--profile", "fast", *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} requires a single run" in capsys.readouterr().err
+
+    def test_sweep_title_names_the_scheduler(self, capsys):
+        assert main(["--sweep", "--profile", "fast", "--scheduler", "batch"]) == 0
+        title = capsys.readouterr().out.splitlines()[0]
+        assert "BATCH dispatch" in title
+        assert "FIFO" not in title
+
+
 class TestEntryPoint:
     def test_serve_main_delegates(self, capsys):
         assert serve_main(

@@ -142,7 +142,13 @@ class TestRender:
     def test_render_has_headers_and_stars(self, rows):
         text = render_tableS1(rows)
         assert "Table S1" in text
+        assert "FIFO dispatch" in text  # the default scheduler
         assert "p99 cyc" in text
         assert "goodput" in text
         assert "*" in text
         assert text.count("\n") >= len(rows)
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "sjf", "priority", "batch"])
+    def test_title_names_the_scheduler(self, rows, scheduler):
+        title = render_tableS1(rows, scheduler=scheduler).splitlines()[0]
+        assert f"Poisson arrivals, {scheduler.upper()} dispatch)" in title
