@@ -162,19 +162,6 @@ class CoreModel:
             return work.out_channels * work.repeats
         return 0
 
-    def weight_fits(self, work: CoreWorkload) -> bool:
-        """Does the slice's weight footprint fit the 128 KB weight buffer."""
-        return work.weight_bytes <= self.config.weight_buffer_bytes
-
-    def weight_stream_bytes(self, work: CoreWorkload) -> int:
-        """Bytes of weights streamed from DRAM for one inference.
-
-        Single-pass inference reads every weight exactly once regardless of
-        buffer capacity (weights that fit stay resident only across *batches*,
-        and the paper's scenario is latency-critical single-image inference).
-        """
-        return work.weight_bytes
-
     def sram_traffic_bytes(self, work: CoreWorkload) -> int:
         """Approximate NBin/SB/NBout bytes moved while computing the slice.
 

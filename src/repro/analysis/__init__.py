@@ -1,28 +1,15 @@
-"""Metrics and report rendering."""
+"""Report rendering: tables, mesh heatmaps, Pareto flags, trace summaries."""
 
 from .heatmap import render_mesh_heatmap
-from .pareto import pareto_flags, pareto_front
-from .metrics import (
-    geometric_mean,
-    reduction,
-    relative_error,
-    speedup,
-    within_factor,
-)
+from .pareto import pareto_flags
 from .tables import format_value, render_table
 from .trace_report import phase_breakdown, render_metrics_snapshot, summarize_trace
 
 __all__ = [
-    "speedup",
-    "reduction",
-    "geometric_mean",
-    "relative_error",
-    "within_factor",
     "render_table",
     "format_value",
     "render_mesh_heatmap",
     "pareto_flags",
-    "pareto_front",
     "phase_breakdown",
     "render_metrics_snapshot",
     "summarize_trace",

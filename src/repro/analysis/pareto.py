@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-__all__ = ["pareto_flags", "pareto_front"]
+__all__ = ["pareto_flags"]
 
 
 def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
@@ -29,13 +29,3 @@ def pareto_flags(points: Sequence[tuple[float, float]]) -> list[bool]:
         )
         flags.append(not dominated)
     return flags
-
-
-def pareto_front(
-    points: Sequence[tuple[float, float]],
-) -> list[int]:
-    """Indices of the Pareto-optimal points, sorted by descending ``x``."""
-    flags = pareto_flags(points)
-    front = [i for i, keep in enumerate(flags) if keep]
-    front.sort(key=lambda i: (-points[i][0], points[i][1]))
-    return front

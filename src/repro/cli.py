@@ -6,14 +6,14 @@ experiments (default: all) and prints their tables; ``repro-serve`` (see
 Trained models are cached under ``$REPRO_CACHE_DIR`` (default
 ``.repro_cache/``), so re-runs only pay for simulation.
 
-Parallelism: ``--workers N`` (or ``$REPRO_WORKERS``) shards the experiment
-list — and each experiment's internal grids, when it is the outermost
-parallel level — across N worker processes drawn from one persistent warm
-pool.  Calls that cannot use a pool (one CPU, one item) stay serial, and
-the run summary's ``[parallel]`` line counts both paths and why each serial
-fallback happened.  Workers share the artifact cache under single-flight
-claims, so nothing trains twice; rendered tables are byte-identical to a
-``--workers 1`` run.
+Parallelism: ``--workers N`` shards each experiment's internal grids (its
+networks, core counts, lambda points or serving configurations) across N
+worker processes drawn from one persistent warm pool; the experiments
+themselves run one after another.  Calls that cannot use a pool (one CPU,
+one item) stay serial, and the run summary's ``[parallel]`` line counts both
+paths and why each serial fallback happened.  Workers share the artifact
+cache under single-flight claims, so nothing trains twice; rendered tables
+are byte-identical to a ``--workers 1`` run.
 
 Observability flags:
 
@@ -37,7 +37,6 @@ hits, single-flight lock activity).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
@@ -56,21 +55,14 @@ def add_workers_flag(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for experiment grids "
-        "(default: $REPRO_WORKERS or 1 = serial)",
+        help="worker processes for experiment grids (default: 1 = serial)",
     )
 
 
 def apply_workers(workers: int | None) -> int | None:
-    """Make ``--workers`` the run-wide default by exporting ``REPRO_WORKERS``.
-
-    The env var (not just the argument) is what nested runners and spawned
-    workers consult, so one flag governs the whole process tree.
-    """
-    if workers is not None:
-        if workers < 1:
-            raise SystemExit(f"--workers must be >= 1, got {workers}")
-        os.environ["REPRO_WORKERS"] = str(workers)
+    """Validate ``--workers``; the runners take the count as an argument."""
+    if workers is not None and workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {workers}")
     return workers
 
 

@@ -23,9 +23,10 @@ Concurrency (the parallel runner, ``repro.parallel``) adds two layers:
 
 * an **in-process read-through memo** over ``load_state``/``load_json`` — a
   small per-kind LRU (``cache.memo.{hit,miss}``) that spares repeated disk
-  reads of the same artifact within one process; sized by ``REPRO_CACHE_MEMO``
-  (0 disables).  Memoized states are returned with read-only arrays, so an
-  aliasing bug surfaces as an error instead of silent cross-call corruption.
+  reads of the same artifact within one process; sized per kind by
+  :data:`MEMO_CAPACITY` (0 disables).  Memoized states are returned with
+  read-only arrays, so an aliasing bug surfaces as an error instead of
+  silent cross-call corruption.
 * **single-flight claims** (:func:`ensure_state` / :func:`ensure_json`) — a
   lock file per key (see :mod:`repro.parallel.singleflight`) so concurrent
   workers never train the same settings key twice; the losers wait, then load
@@ -57,7 +58,6 @@ __all__ = [
     "save_state",
     "load_json",
     "save_json",
-    "cached_json",
     "ensure_state",
     "ensure_json",
     "clear_memo",
@@ -77,20 +77,10 @@ def cache_dir() -> Path:
 _memo_lock = threading.Lock()
 _memo: dict[str, OrderedDict[str, Any]] = {"state": OrderedDict(), "json": OrderedDict()}
 
-
-def _memo_capacity(kind: str) -> int:
-    """Entries kept per artifact kind; ``REPRO_CACHE_MEMO`` overrides both.
-
-    States are large (full model weights), JSON entries tiny (drain-time memo
-    rows), so the defaults differ by two orders of magnitude.
-    """
-    raw = os.environ.get("REPRO_CACHE_MEMO")
-    if raw is not None:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 8 if kind == "state" else 512
+#: Entries kept per artifact kind.  States are large (full model weights),
+#: JSON entries tiny (drain-time memo rows), so the sizes differ by two
+#: orders of magnitude.
+MEMO_CAPACITY = {"state": 8, "json": 512}
 
 
 def _memo_key(key: str) -> str:
@@ -100,7 +90,7 @@ def _memo_key(key: str) -> str:
 
 
 def _memo_get(kind: str, key: str) -> Any | None:
-    cap = _memo_capacity(kind)
+    cap = MEMO_CAPACITY[kind]
     if cap <= 0:
         return None
     scoped = _memo_key(key)
@@ -115,7 +105,7 @@ def _memo_get(kind: str, key: str) -> Any | None:
 
 
 def _memo_put(kind: str, key: str, value: Any) -> None:
-    cap = _memo_capacity(kind)
+    cap = MEMO_CAPACITY[kind]
     if cap <= 0:
         return
     scoped = _memo_key(key)
@@ -250,19 +240,6 @@ def save_json(key: str, data: dict) -> Path:
     return result
 
 
-def cached_json(key: str, compute: Callable[[], dict]) -> dict:
-    """Load a cached JSON result or compute and store it.
-
-    ``compute`` must return JSON-serializable plain data.
-    """
-    result = load_json(key)
-    if result is not None:
-        return result
-    result = compute()
-    save_json(key, result)
-    return result
-
-
 # -- single-flight read-through --------------------------------------------------------
 
 
@@ -288,7 +265,8 @@ def ensure_state(key: str, compute: Callable[[], dict[str, np.ndarray]]) -> dict
 
 
 def ensure_json(key: str, compute: Callable[[], dict]) -> dict:
-    """:func:`cached_json` with a single-flight claim across processes."""
+    """Load ``key``'s JSON entry, or compute-and-save it exactly once across
+    processes (``compute`` returns JSON-serializable plain data)."""
 
     def _compute() -> dict:
         data = compute()

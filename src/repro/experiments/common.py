@@ -37,13 +37,7 @@ from ..datasets.synthetic import (
     synthetic_imagenet10,
     synthetic_mnist,
 )
-from ..models.factory import (
-    build_caffenet_scaled,
-    build_convnet,
-    build_lenet,
-    build_mlp,
-    build_table3_convnet,
-)
+from ..models.factory import build_model
 from ..nn.network import Sequential
 from ..obs import METRICS
 from ..parallel import pmap
@@ -59,7 +53,6 @@ from .config import ExperimentProfile
 __all__ = [
     "LazyDataset",
     "dataset_for",
-    "build_network",
     "train_baseline",
     "SchemeOutcome",
     "run_sparsified_scheme",
@@ -114,22 +107,6 @@ def dataset_for(network: str, profile: ExperimentProfile) -> LazyDataset:
     else:
         raise ValueError(f"no dataset mapping for network {network!r}")
     return LazyDataset(name, build)
-
-
-def build_network(network: str, seed: int = 0, **kwargs) -> Sequential:
-    """Trainable benchmark model by experiment name."""
-    builders = {
-        "mlp": build_mlp,
-        "lenet": build_lenet,
-        "convnet": build_convnet,
-        "caffenet": build_caffenet_scaled,
-        "table3": build_table3_convnet,
-    }
-    try:
-        builder = builders[network]
-    except KeyError:
-        raise ValueError(f"unknown network {network!r}; known: {sorted(builders)}") from None
-    return builder(seed=seed, **kwargs)
 
 
 def _accuracy_key(state_key: str, suffix: str = "acc") -> str:
@@ -192,7 +169,7 @@ def train_baseline(
     scores were stored).
     """
     dataset = dataset or dataset_for(network, profile)
-    model = build_network(network, seed=profile.seed, **build_kwargs)
+    model = build_model(network, seed=profile.seed, **build_kwargs)
     key = _baseline_key(model, profile, dataset, build_kwargs)
 
     def train() -> dict[str, np.ndarray]:
@@ -319,7 +296,7 @@ def _run_grid_point(
     trained; the loaded model is scored only when that entry is missing or
     unreadable.
     """
-    model = build_network(
+    model = build_model(
         point.network, seed=point.profile.seed, **dict(point.build_kwargs)
     )
     model.load_state_dict(_grid_point_state(point, model, dataset))
@@ -353,11 +330,10 @@ def run_sparsified_scheme(
     registry.
 
     Grid points are independent train-or-load jobs, sharded across worker
-    processes by :func:`repro.parallel.pmap`; ``workers=1`` (or unset without
-    ``$REPRO_WORKERS``) runs them serially in-process.  The shared dataset
-    binds into the callable, which ships with each task, one training run
-    per grid point; each task returns its plan, and the winner's is the one
-    simulated.
+    processes by :func:`repro.parallel.pmap`; ``workers=1`` (or unset) runs
+    them serially in-process.  The shared dataset binds into the callable,
+    which ships with each task, one training run per grid point; each task
+    returns its plan, and the winner's is the one simulated.
     """
     dataset = dataset or dataset_for(network, profile)
     points = [

@@ -4,11 +4,12 @@ Each experiment runs inside an ``experiment`` tracing span, so a trace of a
 full run breaks down into experiment → layer → drain phases.
 
 ``run_all`` shards experiments across worker processes via
-:func:`repro.parallel.pmap` (``workers`` argument or ``$REPRO_WORKERS``);
-inside a worker, an experiment's own grids run serially — whichever level is
-parallelized first owns the process pool.  Pool-path calls here and in every
-table loop reuse one persistent warm worker pool, respawned only when a
-call's effective worker count or the ``REPRO_*`` environment changes.
+:func:`repro.parallel.pmap` (its ``workers`` argument) and hands the same
+count to each experiment; inside a worker, an experiment's own grids run
+serially — whichever level is parallelized first owns the process pool.
+Pool-path calls here and in every table loop reuse one persistent warm
+worker pool, respawned only when a call's effective worker count or the
+cache directory changes.
 Workers share the artifact cache under single-flight claims and ship their
 spans/metrics back to the parent, so a parallel report is byte-identical to
 a serial one and its trace is complete.
@@ -126,7 +127,7 @@ def run_all(
     in request order — byte-identical output either way.
     """
     tables = pmap(
-        functools.partial(run_one, profile=profile),
+        functools.partial(run_one, profile=profile, workers=workers),
         names,
         workers=workers,
         label="experiments",

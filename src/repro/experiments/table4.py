@@ -109,7 +109,9 @@ def run_table4(
 ) -> list[Table4Row]:
     """All networks' rows; each network is an independent ``pmap`` job."""
     per_network = pmap(
-        functools.partial(run_network, profile=profile, num_cores=num_cores),
+        functools.partial(
+            run_network, profile=profile, num_cores=num_cores, workers=workers
+        ),
         networks,
         workers=workers,
         label="table4.networks",

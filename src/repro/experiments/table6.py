@@ -47,7 +47,7 @@ def run_table6(
     load the artifact.
     """
     per_cores = pmap(
-        functools.partial(run_network, "lenet", profile),
+        functools.partial(run_network, "lenet", profile, workers=workers),
         core_counts,
         workers=workers,
         label="table6.cores",

@@ -217,11 +217,12 @@ TRAINABLE_BUILDERS = {
     "lenet": build_lenet,
     "convnet": build_convnet,
     "caffenet": build_caffenet_scaled,
+    "table3": build_table3_convnet,
 }
 
 
 def build_model(name: str, **kwargs) -> Sequential:
-    """Build a trainable benchmark model by name."""
+    """Build a trainable benchmark model by (experiment) name."""
     try:
         builder = TRAINABLE_BUILDERS[name]
     except KeyError:

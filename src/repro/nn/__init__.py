@@ -20,17 +20,11 @@ from .layers import (
     Sigmoid,
     Tanh,
 )
-from .loss import MSELoss, SoftmaxCrossEntropy
+from .loss import SoftmaxCrossEntropy
 from .network import Sequential
 from .optim import SGD, Optimizer
 from .quantize import FixedPointFormat, dequantize, quantize, quantize_model
-from .regularizers import (
-    CompositeRegularizer,
-    GroupLassoRegularizer,
-    L1Regularizer,
-    L2Regularizer,
-    Regularizer,
-)
+from .regularizers import GroupLassoRegularizer, Regularizer
 from .sparsity import CoreBlockPartition, GroupNormSummary, split_boundaries
 
 __all__ = [
@@ -49,14 +43,10 @@ __all__ = [
     "Dropout",
     "Sequential",
     "SoftmaxCrossEntropy",
-    "MSELoss",
     "Optimizer",
     "SGD",
     "Regularizer",
-    "L1Regularizer",
-    "L2Regularizer",
     "GroupLassoRegularizer",
-    "CompositeRegularizer",
     "CoreBlockPartition",
     "GroupNormSummary",
     "split_boundaries",

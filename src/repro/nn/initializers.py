@@ -11,10 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-Initializer = Callable[..., np.ndarray]
-"""``(shape, rng, dtype=np.float64) -> np.ndarray``; every builtin accepts
-an optional ``dtype`` and casts *after* drawing, so the random stream (and
-therefore a float32 init) is a deterministic cast of the float64 one."""
+Initializer = Callable[[tuple[int, ...], np.random.Generator], np.ndarray]
 
 __all__ = [
     "zeros",
@@ -40,85 +37,53 @@ def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
     return size, size
 
 
-def zeros(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
-    return np.zeros(shape, dtype=dtype)
+def zeros(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    return np.zeros(shape)
 
 
 def constant(value: float) -> Initializer:
-    def init(
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
-        return np.full(shape, value, dtype=dtype)
+    def init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return np.full(shape, value, dtype=np.float64)
 
     return init
 
 
 def uniform(scale: float = 0.05) -> Initializer:
-    def init(
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
-        return rng.uniform(-scale, scale, size=shape).astype(dtype, copy=False)
+    def init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(-scale, scale, size=shape)
 
     return init
 
 
 def normal(std: float = 0.05) -> Initializer:
-    def init(
-        shape: tuple[int, ...],
-        rng: np.random.Generator,
-        dtype: np.dtype | type = np.float64,
-    ) -> np.ndarray:
-        return rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
+    def init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+        return rng.normal(0.0, std, size=shape)
 
     return init
 
 
-def xavier_uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
+def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, fan_out = _fan_in_out(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def xavier_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
+def xavier_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, fan_out = _fan_in_out(shape)
     std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
+    return rng.normal(0.0, std, size=shape)
 
 
-def he_uniform(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
+def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape).astype(dtype, copy=False)
+    return rng.uniform(-limit, limit, size=shape)
 
 
-def he_normal(
-    shape: tuple[int, ...],
-    rng: np.random.Generator,
-    dtype: np.dtype | type = np.float64,
-) -> np.ndarray:
+def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     fan_in, _ = _fan_in_out(shape)
     std = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, std, size=shape).astype(dtype, copy=False)
+    return rng.normal(0.0, std, size=shape)
 
 
 _REGISTRY: dict[str, Initializer] = {

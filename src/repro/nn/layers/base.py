@@ -35,12 +35,6 @@ class Parameter:
         self.grad = np.zeros_like(self.data)
         self.name = name
 
-    def astype(self, dtype: np.dtype | type) -> "Parameter":
-        """Cast ``data`` and ``grad`` to ``dtype`` (no-op when they match)."""
-        self.data = self.data.astype(dtype, copy=False)
-        self.grad = self.grad.astype(dtype, copy=False)
-        return self
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -92,13 +86,6 @@ class Layer:
     def zero_grad(self) -> None:
         for p in self._params.values():
             p.zero_grad()
-
-    def astype(self, dtype: np.dtype | type) -> "Layer":
-        """Cast all parameters (and drop scratch buffers) to ``dtype``."""
-        for p in self._params.values():
-            p.astype(dtype)
-        self._scratch_buffers.clear()
-        return self
 
     # -- scratch buffers ---------------------------------------------------------
 

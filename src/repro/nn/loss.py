@@ -11,7 +11,7 @@ import numpy as np
 
 from .functional import log_softmax, one_hot, softmax
 
-__all__ = ["SoftmaxCrossEntropy", "MSELoss"]
+__all__ = ["SoftmaxCrossEntropy"]
 
 
 class SoftmaxCrossEntropy:
@@ -44,25 +44,3 @@ class SoftmaxCrossEntropy:
     def __call__(self, logits: np.ndarray, labels: np.ndarray) -> float:
         return self.forward(logits, labels)
 
-
-class MSELoss:
-    """Mean squared error over arbitrary-shaped predictions."""
-
-    def __init__(self) -> None:
-        self._diff: np.ndarray | None = None
-
-    def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
-        if pred.shape != target.shape:
-            raise ValueError(
-                f"shape mismatch: pred {pred.shape}, target {target.shape}"
-            )
-        self._diff = pred - target
-        return float(np.mean(self._diff ** 2))
-
-    def backward(self) -> np.ndarray:
-        if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
-
-    def __call__(self, pred: np.ndarray, target: np.ndarray) -> float:
-        return self.forward(pred, target)

@@ -119,12 +119,6 @@ class Sequential:
         for layer in self.layers:
             layer.eval()
 
-    def astype(self, dtype: np.dtype | type) -> "Sequential":
-        """Cast every parameter (data and grad) to ``dtype``, in place."""
-        for layer in self.layers:
-            layer.astype(dtype)
-        return self
-
     # -- state dict ---------------------------------------------------------------
 
     def state_dict(self) -> dict[str, np.ndarray]:

@@ -34,17 +34,6 @@ class Optimizer:
         for p in self.parameters:
             p.zero_grad()
 
-    @staticmethod
-    def _sync_state(p: Parameter, bufs: list[np.ndarray], i: int) -> np.ndarray:
-        """Keep a per-parameter state buffer in the parameter's dtype.
-
-        Lets ``model.astype`` happen after optimizer construction without the
-        state silently up-promoting every update back to the old dtype.
-        """
-        if bufs[i].dtype != p.data.dtype:
-            bufs[i] = bufs[i].astype(p.data.dtype)
-        return bufs[i]
-
 
 class SGD(Optimizer):
     """Stochastic gradient descent with classical momentum and weight decay."""
@@ -69,7 +58,7 @@ class SGD(Optimizer):
             if self.weight_decay:
                 grad = grad + self.weight_decay * p.data
             if self.momentum:
-                v = self._sync_state(p, self._velocity, i)
+                v = self._velocity[i]
                 v *= self.momentum
                 v -= self.lr * grad
                 p.data += v

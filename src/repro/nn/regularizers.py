@@ -4,15 +4,16 @@ Equation (1) of the paper:
 
     L(W) = L_D(W) + lambda * R(W) + lambda_g * sum_l R_g(W^l)
 
-``R`` is a generic elementwise penalty (L1/L2) and ``R_g`` the group Lasso
-over core blocks.  The *communication-aware* variant (SS_Mask) scales each
+``R`` is a generic elementwise penalty — here the optimizer's weight decay
+(:class:`~repro.nn.optim.SGD`) — and ``R_g`` the group Lasso over core
+blocks.  The *communication-aware* variant (SS_Mask) scales each
 block's penalty by a strength factor derived from the NoC hop distance
 between the producer and consumer core, so weights whose activations would
 travel far are pruned first.
 
 Each regularizer implements ``loss(model)`` (penalty value, for monitoring)
 and ``add_gradients(model)`` (accumulate subgradients into ``param.grad``).
-Group-Lasso regularizers additionally implement the proximal operator
+The group Lasso additionally implements the proximal operator
 ``prox_step(model, lr)``, which drives block norms to *exact* zero — the
 property the traffic model relies on.
 
@@ -33,13 +34,7 @@ import numpy as np
 from .network import Sequential
 from .sparsity import CoreBlockPartition
 
-__all__ = [
-    "Regularizer",
-    "L1Regularizer",
-    "L2Regularizer",
-    "GroupLassoRegularizer",
-    "CompositeRegularizer",
-]
+__all__ = ["Regularizer", "GroupLassoRegularizer"]
 
 _EPS = 1e-12
 
@@ -52,50 +47,6 @@ class Regularizer:
 
     def add_gradients(self, model: Sequential) -> None:
         raise NotImplementedError
-
-
-class L2Regularizer(Regularizer):
-    """``lam * sum w^2`` over weight parameters (biases excluded)."""
-
-    def __init__(self, lam: float) -> None:
-        if lam < 0:
-            raise ValueError(f"lam must be non-negative, got {lam}")
-        self.lam = lam
-
-    @staticmethod
-    def _targets(model: Sequential):
-        for name, param in model.named_parameters():
-            if name.endswith(".weight") or name.endswith(".gamma"):
-                yield param
-
-    def loss(self, model: Sequential) -> float:
-        return self.lam * sum(float(np.sum(p.data ** 2)) for p in self._targets(model))
-
-    def add_gradients(self, model: Sequential) -> None:
-        for p in self._targets(model):
-            p.grad += 2.0 * self.lam * p.data
-
-
-class L1Regularizer(Regularizer):
-    """``lam * sum |w|`` over weight parameters (biases excluded)."""
-
-    def __init__(self, lam: float) -> None:
-        if lam < 0:
-            raise ValueError(f"lam must be non-negative, got {lam}")
-        self.lam = lam
-
-    @staticmethod
-    def _targets(model: Sequential):
-        for name, param in model.named_parameters():
-            if name.endswith(".weight"):
-                yield param
-
-    def loss(self, model: Sequential) -> float:
-        return self.lam * sum(float(np.sum(np.abs(p.data))) for p in self._targets(model))
-
-    def add_gradients(self, model: Sequential) -> None:
-        for p in self._targets(model):
-            p.grad += self.lam * np.sign(p.data)
 
 
 class GroupLassoRegularizer(Regularizer):
@@ -270,22 +221,3 @@ class GroupLassoRegularizer(Regularizer):
             for name, partition in self.partitions.items()
         }
 
-
-class CompositeRegularizer(Regularizer):
-    """Sum of several regularizers — eq. (1) with both R and R_g terms."""
-
-    def __init__(self, *regularizers: Regularizer) -> None:
-        self.regularizers = list(regularizers)
-
-    def loss(self, model: Sequential) -> float:
-        return sum(r.loss(model) for r in self.regularizers)
-
-    def add_gradients(self, model: Sequential) -> None:
-        for r in self.regularizers:
-            r.add_gradients(model)
-
-    def prox_step(self, model: Sequential, lr: float) -> None:
-        for r in self.regularizers:
-            prox = getattr(r, "prox_step", None)
-            if prox is not None:
-                prox(model, lr)

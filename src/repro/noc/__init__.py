@@ -9,7 +9,6 @@ from .analytical import AnalyticalEstimate, estimate_drain_cycles, link_loads
 from .energy import EnergyBreakdown, NoCEnergyModel
 from .network import EnergyEvents, NoCSimulator, NoCStats
 from .packet import Flit, NoCConfig, Packet, message_flits, segment_message
-from .reference import ReferenceNoCSimulator
 from .routing import RouteTables, route_tables, xy_route_path, xy_route_port, xy_route_ports
 from .topology import Mesh2D, mesh_dims
 from .traffic import (
@@ -32,7 +31,6 @@ __all__ = [
     "Flit",
     "segment_message",
     "NoCSimulator",
-    "ReferenceNoCSimulator",
     "NoCStats",
     "EnergyEvents",
     "TrafficMatrix",

@@ -29,8 +29,8 @@ traversal is the last pipeline stage), reaching the next router
 
 Event-driven engine
 -------------------
-The historical implementation (preserved bit-for-bit in
-:mod:`repro.noc.reference`) visited all routers x 5 ports x ``num_vcs`` VCs
+The historical implementation (preserved bit-for-bit as the test oracle
+``tests/noc/reference.py``) visited all routers x 5 ports x ``num_vcs`` VCs
 on *every* cycle.  This engine only does work that can change state:
 
 * a ``heapq`` of *scheduled cycles* drives the main loop, so fully idle

@@ -26,13 +26,12 @@ key trained by exactly one process (see ``repro.experiments.cache``).
 """
 
 from . import warmpool
-from .pool import default_workers, in_worker, pmap, resolve_workers
+from .pool import in_worker, pmap, resolve_workers
 from .singleflight import run_single_flight
 
 __all__ = [
     "pmap",
     "resolve_workers",
-    "default_workers",
     "in_worker",
     "run_single_flight",
     "warmpool",

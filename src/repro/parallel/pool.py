@@ -1,9 +1,8 @@
 """``pmap``: run a map serially, or one task per item on the warm pool.
 
-Worker-count resolution order: explicit ``workers=`` argument, then the
-``REPRO_WORKERS`` environment variable, then 1 (serial).  Inside a worker
-process the answer is always 1, so nested ``pmap`` calls degrade to the
-serial path instead of spawning pools-of-pools.
+The worker count is the ``workers=`` argument (``None`` means 1, serial).
+Inside a worker process the answer is always 1, so nested ``pmap`` calls
+degrade to the serial path instead of spawning pools-of-pools.
 
 Dispatch is decided **here**, once per call — call sites never measure or
 guess.  A call runs serially when any of these hold (first match is the
@@ -53,32 +52,16 @@ from ..obs import (
     tracing_enabled,
 )
 from . import warmpool
+from .warmpool import in_worker
 
-__all__ = ["pmap", "resolve_workers", "default_workers", "in_worker"]
+__all__ = ["pmap", "resolve_workers", "in_worker"]
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Set in every worker process; its presence forces nested pmaps serial.
-_WORKER_ENV = "REPRO_IN_WORKER"
-
-
-def in_worker() -> bool:
-    """True inside a ``pmap`` worker process."""
-    return bool(os.environ.get(_WORKER_ENV))
-
-
-def default_workers() -> int:
-    """The worker count ``pmap`` uses when none is passed (env or 1)."""
-    raw = os.environ.get("REPRO_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
 
 def resolve_workers(workers: int | None) -> int:
-    """Effective worker count: explicit arg > ``$REPRO_WORKERS`` > 1.
+    """Effective worker count: the ``workers`` argument, or 1 when ``None``.
 
     Always 1 inside a worker process — an outer pmap owns the pool.  The
     result is clamped to ``os.cpu_count()``: oversubscribing cores is a net
@@ -88,7 +71,7 @@ def resolve_workers(workers: int | None) -> int:
     """
     if in_worker():
         return 1
-    requested = max(1, int(workers)) if workers is not None else default_workers()
+    requested = max(1, int(workers or 1))
     cpus = os.cpu_count() or 1
     if requested > cpus:
         warnings.warn(
@@ -150,7 +133,7 @@ def pmap(
     if len(items) <= 1:
         return _serial(fn, items, "single_item")
 
-    requested = max(1, int(workers)) if workers is not None else default_workers()
+    requested = max(1, int(workers or 1))
     n = min(resolve_workers(workers), len(items))
     if n <= 1:  # with two or more items, only the CPU clamp can undercut a request
         return _serial(fn, items, "cpu_clamp" if requested > 1 else "workers")

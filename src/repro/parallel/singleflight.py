@@ -5,8 +5,8 @@ model in ``.repro_cache``), exactly one should compute it while the rest wait
 and then load the result.  The claim is a lock file created with
 ``O_CREAT | O_EXCL`` (atomic on every POSIX filesystem) holding the owner's
 pid and start time; waiters poll for the artifact, and take over claims whose
-owner died or exceeded the staleness budget (``REPRO_LOCK_STALE_S``, default
-one hour — longer than any single training job).
+owner died or exceeded the staleness budget (:data:`STALE_AFTER_S`, one
+hour — longer than any single training job).
 
 Takeover is deliberately optimistic: two waiters that both observe a stale
 claim can race to break it, in which case both may compute the artifact.
@@ -34,12 +34,8 @@ V = TypeVar("V")
 
 _POLL_S = 0.05
 
-
-def _stale_after() -> float:
-    try:
-        return float(os.environ.get("REPRO_LOCK_STALE_S", ""))
-    except ValueError:
-        return 3600.0
+#: Seconds after which a claim counts as stale even if its owner is alive.
+STALE_AFTER_S = 3600.0
 
 
 def _try_acquire(lock_path: Path) -> bool:
@@ -108,7 +104,6 @@ def run_single_flight(
     if value is not None:
         return value
 
-    stale_after = _stale_after()
     contended = False
     while True:
         if _try_acquire(lock_path):
@@ -127,6 +122,6 @@ def run_single_flight(
         value = check()
         if value is not None:
             return value
-        if _is_stale(lock_path, stale_after):
+        if _is_stale(lock_path, STALE_AFTER_S):
             METRICS.inc("cache.lock.stale_takeover", kind=kind)
             _release(lock_path)

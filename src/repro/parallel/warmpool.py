@@ -13,10 +13,9 @@ again for the next table loop — loses to the serial loop.  This module keeps
 * **Recycling** — the pool is torn down and respawned (counted as
   ``parallel.pool.recycled{reason=}``) when a call's effective worker count
   differs from the pool's size in either direction (``grow``/``shrink``:
-  the pool's size *is* the call's concurrency), when the environment it was
-  forked under goes stale (``env_changed``: any ``REPRO_*`` variable other
-  than ``REPRO_WORKERS``, a parent-side dispatch input), or when a worker
-  crash broke it (``broken``).
+  the pool's size *is* the call's concurrency), when the cache directory
+  its workers were forked under goes stale (``env_changed``: the parent's
+  ``REPRO_CACHE_DIR`` moved), or when a worker crash broke it (``broken``).
 * **Idle-safe shutdown** — :func:`shutdown` runs via ``atexit``; an
   interpreter exit with an idle warm pool joins its workers cleanly.
 
@@ -33,35 +32,39 @@ from concurrent.futures import ProcessPoolExecutor
 
 from ..obs import METRICS
 
-__all__ = ["get_executor", "current_executor", "shutdown"]
+__all__ = ["get_executor", "current_executor", "shutdown", "in_worker"]
 
 _executor: ProcessPoolExecutor | None = None
 _size = 0
-_fingerprint: tuple | None = None
+_fingerprint: str | None = None
+
+#: True in every worker process (set by the pool's initializer); nested
+#: ``pmap`` calls read it and stay serial.
+_in_worker = False
 
 
 def _worker_init() -> None:
-    os.environ["REPRO_IN_WORKER"] = "1"
+    global _in_worker
+    _in_worker = True
 
 
-def env_fingerprint() -> tuple:
-    """The ``REPRO_*`` environment a pool's workers were created under.
+def in_worker() -> bool:
+    """True inside a pool worker process."""
+    return _in_worker
+
+
+def env_fingerprint() -> str | None:
+    """The ``REPRO_CACHE_DIR`` a pool's workers were created under.
 
     Fork-started workers snapshot the parent's environment; if the parent
-    later flips ``REPRO_CACHE_DIR`` (the benchmark does, per timed run) or a
-    compute knob, warm workers would silently keep the stale value — so any
+    later moves ``REPRO_CACHE_DIR`` (the benchmark does, per timed run), warm
+    workers would silently keep reading the stale directory — so a
     difference here recycles the pool before the next dispatch.
     """
-    return tuple(
-        sorted(
-            (k, v)
-            for k, v in os.environ.items()
-            if k.startswith("REPRO_") and k != "REPRO_WORKERS"
-        )
-    )
+    return os.environ.get("REPRO_CACHE_DIR")
 
 
-def _stale_reason(workers: int, fingerprint: tuple) -> str | None:
+def _stale_reason(workers: int, fingerprint: str | None) -> str | None:
     if _executor is None:
         return None
     if getattr(_executor, "_broken", False):

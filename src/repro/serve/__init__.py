@@ -20,7 +20,7 @@ discrete-event serving simulator on top of the single-pass engine
 * :mod:`repro.serve.simulator` — the event loop tying the three together;
 * :mod:`repro.serve.fastpath` — the columnar (struct-of-arrays) event loop
   the simulator auto-selects for open-loop workloads: identical results,
-  an order of magnitude more events per second (``REPRO_SERVE_FASTPATH``
+  an order of magnitude more events per second (the ``fastpath`` argument
   selects; the object loop remains the bit-exactness reference);
 * :mod:`repro.serve.slo` / :mod:`repro.serve.results` — per-request records,
   p50/p95/p99 latency, goodput, SLO-violation rate, and utilization,
@@ -40,7 +40,7 @@ from .cluster import (
     default_group_map,
     service_for_plan,
 )
-from .fastpath import FASTPATH_ENV, fastpath_mode
+from .fastpath import fastpath_mode
 from .pipelined import PipelinedCluster, build_mcm_cluster
 from .results import RecordColumns, RequestRecord, ServeResult
 from .scheduler import (
@@ -88,7 +88,6 @@ __all__ = [
     "make_scheduler",
     "ServeSimulator",
     "simulate_serving",
-    "FASTPATH_ENV",
     "fastpath_mode",
     "RequestRecord",
     "RecordColumns",

@@ -31,14 +31,12 @@ timing.  ``--sweep`` then runs the Table MCM single-chip-vs-MCM race::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .. import obs
 from ..cli import add_workers_flag, apply_workers
 from ..models.zoo import SPEC_BUILDERS, get_spec
 from .cluster import build_spec_cluster
-from .fastpath import FASTPATH_ENV
 from .pipelined import build_mcm_cluster
 from .scheduler import SCHEDULERS, make_scheduler
 from .simulator import simulate_serving
@@ -47,13 +45,33 @@ from .workload import ClosedLoopWorkload, LoadGenerator, MMPPWorkload, PoissonWo
 
 __all__ = ["main"]
 
-#: Single-run flags and their defaults.  A sweep serves its own network,
-#: load and request counts, so it rejects these flags rather than ignore them.
+#: Single-run flags and their defaults (``None``: derived later).  A sweep
+#: serves its own networks, load, schemes and group sizes, keeps summary
+#: records and picks its serving loop, so it rejects these flags rather
+#: than ignore them.
 _SINGLE_RUN_DEFAULTS = {
     "network": "convnet",
     "workload": "poisson",
     "rate": 20.0,
+    "burst_rate": None,
     "requests": 200,
+    "clients": 8,
+    "think": 1e6,
+    "scheme": "traditional",
+    "group_cores": None,
+    "records": "full",
+    "fastpath": "auto",
+}
+
+#: Sweep-only flags and their defaults.  A single run is one simulation:
+#: it has no size profile and nothing to shard across workers.
+_SWEEP_DEFAULTS = {"profile": "paper", "workers": None}
+
+#: The --interchip-* overrides (multi-chip runs only).
+_INTERCHIP_FLAGS = {
+    "interchip_bytes_per_cycle": "bytes_per_cycle",
+    "interchip_hop_latency": "hop_latency_cycles",
+    "interchip_sync_overhead": "sync_overhead_cycles",
 }
 
 
@@ -71,9 +89,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="chip cores (per-chip cores when --chips > 1)",
     )
     parser.add_argument(
-        "--group-cores", type=int, default=16,
-        help="cores per replica group (1 = data parallel, cores = model "
-        "parallel; single-chip mode only)",
+        "--group-cores", type=int, default=None,
+        help="cores per replica group (default: --cores, one model-parallel "
+        "group; 1 = data parallel; single-chip single runs only)",
     )
     parser.add_argument(
         "--chips", type=int, default=1,
@@ -110,8 +128,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "replica groups (default: one independent channel per group)",
     )
     parser.add_argument(
-        "--scheme", default="traditional", choices=("traditional", "structure"),
-        help="partitioning scheme inside each replica group",
+        "--scheme", default=None, choices=("traditional", "structure"),
+        help="partitioning scheme inside each replica group (default: "
+        "traditional; single runs only)",
     )
     parser.add_argument(
         "--scheduler", default="fifo", choices=SCHEDULERS, help="dispatch policy"
@@ -131,18 +150,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--burst-rate", type=float, default=None,
-        help="mmpp burst-state rate (default: 8x --rate)",
+        help="mmpp burst-state rate (default: 8x --rate; single runs only)",
     )
     parser.add_argument(
         "--requests", type=int, default=None,
         help="open-loop request count (default: 200; single runs only)",
     )
     parser.add_argument(
-        "--clients", type=int, default=8, help="closed-loop client population"
+        "--clients", type=int, default=None,
+        help="closed-loop client population (default: 8; single runs only)",
     )
     parser.add_argument(
-        "--think", type=float, default=1e6,
-        help="closed-loop mean think time in cycles",
+        "--think", type=float, default=None,
+        help="closed-loop mean think time in cycles (default: 1e6; single "
+        "runs only)",
     )
     parser.add_argument(
         "--slo-factor", type=float, default=2.0,
@@ -151,13 +172,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--fastpath", default=None, choices=("auto", "off", "force"),
         help="serving-loop implementation: auto = columnar fast path when "
-        "eligible (default; also via REPRO_SERVE_FASTPATH), off = object "
-        "loop, force = error when the fast path cannot run",
+        "eligible (default), off = object loop, force = error when the fast "
+        "path cannot run (single runs only)",
     )
     parser.add_argument(
-        "--records", default="full", choices=("full", "summary"),
-        help="summary drops per-request records after SLO scoring "
-        "(flat memory for huge runs; sweeps always run summary-only)",
+        "--records", default=None, choices=("full", "summary"),
+        help="summary drops per-request records after SLO scoring (default: "
+        "full; flat memory for huge runs; single runs only, sweeps always "
+        "run summary-only)",
     )
     parser.add_argument("--seed", type=int, default=0, help="workload seed")
     parser.add_argument(
@@ -165,8 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the Table S1 rate x scheme x group-size sweep instead",
     )
     parser.add_argument(
-        "--profile", default="paper", choices=("paper", "fast"),
-        help="sweep size profile (--sweep only)",
+        "--profile", default=None, choices=("paper", "fast"),
+        help="sweep size profile (default: paper; --sweep only)",
     )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
@@ -179,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--ts-window", type=int, default=None, metavar="CYCLES",
-        help="time-series window width in sim cycles (default: auto)",
+        help="time-series window width in sim cycles (default: auto; needs "
+        "--trace or --perfetto)",
     )
     parser.add_argument(
         "--metrics", action="store_true",
@@ -219,11 +242,10 @@ def _build_workload(args: argparse.Namespace) -> LoadGenerator:
 def _interchip_link(args: argparse.Namespace):
     """An InterChipLink from the --interchip-* overrides (None = defaults)."""
     overrides = {
-        "bytes_per_cycle": args.interchip_bytes_per_cycle,
-        "hop_latency_cycles": args.interchip_hop_latency,
-        "sync_overhead_cycles": args.interchip_sync_overhead,
+        field: getattr(args, dest)
+        for dest, field in _INTERCHIP_FLAGS.items()
+        if getattr(args, dest) is not None
     }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
     if not overrides:
         return None
     from ..mcm.topology import InterChipLink
@@ -324,10 +346,6 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    apply_workers(args.workers)
-    if args.fastpath is not None:
-        # Export so sweep worker processes inherit the selection too.
-        os.environ[FASTPATH_ENV] = args.fastpath
     if args.chips < 1:
         parser.error(f"--chips must be >= 1, got {args.chips}")
     if args.search_stages and (args.chips == 1 or args.sweep):
@@ -339,16 +357,35 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, dest, default)
         elif args.sweep:
             parser.error(
-                f"--{dest} requires a single run (--sweep serves its own "
-                "network under Poisson load at its own rates and request counts)"
+                f"--{dest.replace('_', '-')} requires a single run (--sweep "
+                "picks its own networks, load, schemes, group sizes, records "
+                "and serving loop)"
             )
+    for dest, default in _SWEEP_DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+        elif not args.sweep:
+            parser.error(f"--{dest} requires --sweep (a single run is one simulation)")
+    apply_workers(args.workers)
+    if args.ts_window is not None and not (args.trace or args.perfetto):
+        parser.error("--ts-window requires --trace or --perfetto")
     if args.chips == 1:
         if args.stages is not None:
             parser.error("--stages requires --chips > 1")
+        for dest in _INTERCHIP_FLAGS:
+            if getattr(args, dest) is not None:
+                parser.error(f"--{dest.replace('_', '-')} requires --chips > 1")
+        if args.group_cores is None:
+            args.group_cores = args.cores
         if args.cores % args.group_cores:
             parser.error(
                 f"--group-cores {args.group_cores} does not tile --cores {args.cores}"
             )
+    elif args.group_cores is not None:
+        parser.error(
+            "--group-cores requires --chips 1 (an MCM's replica groups are "
+            "its --stages pipelines)"
+        )
     elif args.stages is not None and args.chips % args.stages:
         parser.error(
             f"--stages {args.stages} does not tile --chips {args.chips}"

@@ -123,7 +123,6 @@ def service_for_plan(
         ),
         cfg.comm_mode,
         cfg.max_cycle_sim_flits,
-        cfg.include_dram,
         cfg.include_input_load,
     )
     hit = key in _SERVICE_MEMO

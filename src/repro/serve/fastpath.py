@@ -32,12 +32,12 @@ methods (memoized per ``(model, batch)``), pipelined groups keep
 release-before-completion and the backpressure floor, and the shared
 DRAM channel heap is byte-for-byte the object loop's.
 
-Selection: ``REPRO_SERVE_FASTPATH`` = ``auto`` (default; columnar when
-eligible), ``off`` (always the object loop), or ``force`` (error if a
-run cannot take the fast path).  Eligible means: an open-loop workload
-that can columnize its stream, and a scheduler exposing an index queue.
-Closed-loop generators, scripted streams with out-of-order rids, and
-custom policies fall back to the object loop under ``auto``; each
+Selection: the simulator's ``fastpath`` argument, ``auto`` (default;
+columnar when eligible), ``off`` (always the object loop), or ``force``
+(error if a run cannot take the fast path).  Eligible means: an open-loop
+workload that can columnize its stream, and a scheduler exposing an index
+queue.  Closed-loop generators, scripted streams with out-of-order rids,
+and custom policies fall back to the object loop under ``auto``; each
 fallback is counted as ``serve.fastpath.fallback{reason=}``.
 """
 
@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import gc
 import heapq
-import os
 from array import array
 
 import numpy as np
@@ -56,24 +55,15 @@ from .results import RecordColumns
 from .scheduler import IndexQueue, Scheduler
 from .workload import ArrivalColumns, LoadGenerator
 
-__all__ = ["FASTPATH_ENV", "fastpath_mode", "plan_columnar", "run_columnar"]
-
-#: Environment knob selecting the serving loop implementation.
-FASTPATH_ENV = "REPRO_SERVE_FASTPATH"
+__all__ = ["fastpath_mode", "plan_columnar", "run_columnar"]
 
 _MODES = ("auto", "off", "force")
 
 
-def fastpath_mode(explicit: str | None = None) -> str:
-    """Resolve the loop-selection mode (explicit argument beats the env)."""
-    raw = explicit if explicit is not None else os.environ.get(FASTPATH_ENV, "auto")
-    mode = (raw or "auto").strip().lower()
-    if mode == "on":  # forgiving alias
-        mode = "auto"
+def fastpath_mode(mode: str) -> str:
+    """Validate a loop-selection mode (one of ``auto``, ``off``, ``force``)."""
     if mode not in _MODES:
-        raise ValueError(
-            f"{FASTPATH_ENV} must be one of {_MODES} (or 'on'), got {raw!r}"
-        )
+        raise ValueError(f"fastpath must be one of {_MODES}, got {mode!r}")
     return mode
 
 

@@ -71,11 +71,10 @@ class ServeSimulator:
     violation counts and burn rates are computed against this target.  The
     pass/fail scoring itself stays in :func:`repro.serve.slo.evaluate_slo`.
 
-    ``fastpath`` picks the loop implementation — ``auto`` (columnar when
-    eligible, see :mod:`repro.serve.fastpath`; each fallback counts
-    ``serve.fastpath.fallback{reason=}``), ``off`` (always the object
-    loop), or ``force`` (error when ineligible); ``None`` defers to the
-    ``REPRO_SERVE_FASTPATH`` environment variable.  Both loops produce
+    ``fastpath`` picks the loop implementation — ``auto`` (the default;
+    columnar when eligible, see :mod:`repro.serve.fastpath`; each fallback
+    counts ``serve.fastpath.fallback{reason=}``), ``off`` (always the object
+    loop), or ``force`` (error when ineligible).  Both loops produce
     bit-identical results for the same seeded workload.
     """
 
@@ -85,13 +84,13 @@ class ServeSimulator:
         scheduler: Scheduler,
         workload: LoadGenerator,
         slo: SLO | None = None,
-        fastpath: str | None = None,
+        fastpath: str = "auto",
     ) -> None:
         self.cluster = cluster
         self.scheduler = scheduler
         self.workload = workload
         self.slo = slo
-        self.fastpath = fastpath_mode(fastpath) if fastpath is not None else fastpath
+        self.fastpath = fastpath_mode(fastpath)
         scheduler.bind(cluster)
 
     def _pipeline_stages(self) -> int:
@@ -106,12 +105,11 @@ class ServeSimulator:
         )
 
     def run(self) -> ServeResult:
-        mode = fastpath_mode(self.fastpath)
         plan = None
-        if mode != "off":
+        if self.fastpath != "off":
             plan, reason = plan_columnar(self.cluster, self.scheduler, self.workload)
             if plan is None:
-                if mode == "force":
+                if self.fastpath == "force":
                     raise RuntimeError(
                         f"serve fastpath forced but this run is ineligible: {reason}"
                     )
@@ -313,7 +311,7 @@ def simulate_serving(
     scheduler: Scheduler,
     workload: LoadGenerator,
     slo: SLO | None = None,
-    fastpath: str | None = None,
+    fastpath: str = "auto",
     records: str = "full",
 ) -> tuple[ServeResult, SLOReport | None]:
     """One-call convenience: run the loop and (optionally) score an SLO.

@@ -7,8 +7,8 @@ Combines the three hardware models:
 * computation-blocking communication time from the NoC: the layer-transition
   burst is injected at cycle 0 and the drain time (in NoC cycles, converted
   by the core/NoC clock ratio) is charged before the layer's compute;
-* optional DRAM weight streaming overlapped with compute (off by default:
-  the paper's latency model assumes resident weights — see DESIGN.md).
+* the DRAM fetch of the network input before the first layer.  Weights are
+  resident: the paper's latency model streams none (see DESIGN.md).
 
 Communication simulation modes
 ------------------------------
@@ -208,7 +208,6 @@ class SimConfig:
 
     comm_mode: str = "auto"  # auto | cycle | analytical
     max_cycle_sim_flits: int = 60_000
-    include_dram: bool = False
     # Charge the scheme-independent cost of fetching the input image from
     # DRAM and broadcasting it to all cores before the first layer.
     include_input_load: bool = True
@@ -305,25 +304,14 @@ class InferenceSimulator:
             compute_cycles, chip.num_cores
         )
 
-        dram_cycles = 0
-        dram_energy = 0.0
-        if self.config.include_dram:
-            weight_bytes = sum(
-                self._core_model.weight_stream_bytes(w) for w in lp.workloads()
-            )
-            dram_cycles = chip.dram.transfer_cycles(weight_bytes)
-            dram_energy = chip.dram.transfer_energy_j(weight_bytes)
-
         return LayerTimeline(
             layer_name=lp.layer.name,
             compute_cycles=compute_cycles,
             comm_cycles=comm_cycles,
-            dram_cycles=dram_cycles,
             traffic_bytes=lp.traffic.total_bytes,
             flit_hops=flit_hops,
             noc_energy=noc_energy,
             compute_energy_j=compute_energy,
-            dram_energy_j=dram_energy,
             comm_mode=mode,
         )
 

@@ -15,25 +15,22 @@ class LayerTimeline:
 
     All cycle counts are in *core* clock cycles.  ``comm_cycles`` is the
     computation-blocking synchronization time before the layer executes;
-    ``compute_cycles`` is the busiest core's NFU time; ``dram_cycles`` the
-    (optional) weight-streaming time overlapped with compute.
+    ``compute_cycles`` is the busiest core's NFU time.
     """
 
     layer_name: str
     compute_cycles: int
     comm_cycles: int
-    dram_cycles: int
     traffic_bytes: int
     flit_hops: int
     noc_energy: EnergyBreakdown
     compute_energy_j: float
-    dram_energy_j: float
     comm_mode: str  # "cycle" | "scaled-cycle" | "analytical" | "none"
 
     @property
     def total_cycles(self) -> int:
-        """Layer wall time: sync drain, then compute (overlapping DRAM)."""
-        return self.comm_cycles + max(self.compute_cycles, self.dram_cycles)
+        """Layer wall time: sync drain, then compute."""
+        return self.comm_cycles + self.compute_cycles
 
 
 @dataclass
@@ -63,7 +60,7 @@ class SimulationResult:
 
     @property
     def compute_cycles(self) -> int:
-        return sum(max(l.compute_cycles, l.dram_cycles) for l in self.layers)
+        return sum(l.compute_cycles for l in self.layers)
 
     @property
     def comm_cycles(self) -> int:
@@ -105,15 +102,8 @@ class SimulationResult:
         return sum(l.compute_energy_j for l in self.layers)
 
     @property
-    def dram_energy_j(self) -> float:
-        return sum(l.dram_energy_j for l in self.layers)
-
-    @property
     def total_energy_j(self) -> float:
-        return (
-            self.noc_energy_j + self.compute_energy_j + self.dram_energy_j
-            + self.input_load_energy_j
-        )
+        return self.noc_energy_j + self.compute_energy_j + self.input_load_energy_j
 
     # -- paper metrics ---------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Training procedures: baseline training and the SS / SS_Mask recipes."""
 
-from .sparsify import SparsifyConfig, SparsifyResult, sparsity_report, train_sparsified
+from .sparsify import SparsifyConfig, SparsifyResult, train_sparsified
 from .trainer import TrainConfig, TrainHistory, Trainer
 
 __all__ = [
@@ -10,5 +10,4 @@ __all__ = [
     "SparsifyConfig",
     "SparsifyResult",
     "train_sparsified",
-    "sparsity_report",
 ]

@@ -31,7 +31,7 @@ from ..partition.distance import distance_strength_mask, uniform_strength
 from ..partition.sparsified import layer_block_partitions
 from .trainer import TrainConfig, Trainer, TrainHistory
 
-__all__ = ["SparsifyConfig", "SparsifyResult", "train_sparsified", "sparsity_report"]
+__all__ = ["SparsifyConfig", "SparsifyResult", "train_sparsified"]
 
 
 @dataclass(frozen=True)
@@ -141,14 +141,3 @@ def train_sparsified(
         accuracy=model.accuracy(dataset.x_test, dataset.y_test),
     )
 
-
-def sparsity_report(result: SparsifyResult) -> str:
-    """Human-readable per-parameter block sparsity summary."""
-    lines = [f"model: {result.model.name} — test accuracy {result.accuracy:.4f}"]
-    for name, partition in result.partitions.items():
-        summary = partition.summarize(result.model.get_parameter(name).data)
-        lines.append(
-            f"  {name}: {summary.zero_fraction:5.1%} blocks zero "
-            f"({summary.offdiag_zero_fraction:5.1%} off-diagonal)"
-        )
-    return "\n".join(lines)

@@ -19,7 +19,6 @@ epoch's train and test accuracy.
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -35,8 +34,6 @@ from ..obs import METRICS, span, tracing_enabled
 
 __all__ = ["TrainConfig", "TrainHistory", "Trainer", "train_settings"]
 
-_DTYPES = {"": None, "float32": np.float32, "float64": np.float64}
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -50,10 +47,6 @@ class TrainConfig:
     lr_decay: float = 1.0  # multiplicative per-epoch decay (1.0 = constant)
     max_grad_norm: float = 5.0  # global gradient-norm clip (0 disables)
     seed: int = 0
-    # Compute dtype: "float32" / "float64"; "" defers to $REPRO_DTYPE and
-    # then float64.  Kept out of cache keys when it resolves to the float64
-    # default so pre-existing artifacts stay valid (see train_settings).
-    dtype: str = ""
 
     def __post_init__(self) -> None:
         if self.epochs < 0:
@@ -62,43 +55,15 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.max_grad_norm < 0:
             raise ValueError("max_grad_norm must be non-negative")
-        if self.dtype not in _DTYPES:
-            raise ValueError(
-                f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}"
-            )
-
-    def resolved_dtype(self) -> np.dtype:
-        """The numpy dtype this run computes in.
-
-        Precedence: explicit ``dtype`` field > ``$REPRO_DTYPE`` > float64.
-        """
-        if self.dtype:
-            return np.dtype(_DTYPES[self.dtype])
-        env = os.environ.get("REPRO_DTYPE", "")
-        if env:
-            if env not in _DTYPES or not _DTYPES[env]:
-                raise ValueError(
-                    f"$REPRO_DTYPE must be 'float32' or 'float64', got {env!r}"
-                )
-            return np.dtype(_DTYPES[env])
-        return np.dtype(np.float64)
 
 
 def train_settings(cfg: TrainConfig) -> dict:
-    """Cache-key view of a :class:`TrainConfig`.
+    """Cache-key view of a :class:`TrainConfig`: every field, by name.
 
-    The ``dtype`` field joins the key only when it resolves to something
-    other than the float64 default, so every settings hash minted before
-    dtype existed — and every future default-dtype run — stays unchanged
-    (``tests/experiments/test_cache_keys.py`` pins this).
+    ``tests/experiments/test_cache_keys.py`` pins the keys these settings
+    mint, so a new field here re-keys every cached state.
     """
-    settings = asdict(cfg)
-    resolved = cfg.resolved_dtype()
-    if resolved == np.dtype(np.float64):
-        settings.pop("dtype")
-    else:
-        settings["dtype"] = resolved.name
-    return settings
+    return asdict(cfg)
 
 
 @dataclass
@@ -182,13 +147,6 @@ class Trainer:
         if eval_every < 0:
             raise ValueError(f"eval_every must be non-negative, got {eval_every}")
         cfg = self.config
-        dtype = cfg.resolved_dtype()
-        self.model.astype(dtype)
-        # Dataset tensors are float64 at rest; cast once up front (astype is
-        # a no-op view at the default dtype) so every batch and accuracy
-        # evaluation computes in the configured precision.
-        x_train = dataset.x_train.astype(dtype, copy=False)
-        x_test = dataset.x_test.astype(dtype, copy=False)
         optimizer = SGD(
             self.model.parameters(),
             lr=cfg.lr,
@@ -196,7 +154,7 @@ class Trainer:
             weight_decay=cfg.weight_decay,
         )
         loader = DataLoader(
-            x_train, dataset.y_train, batch_size=cfg.batch_size,
+            dataset.x_train, dataset.y_train, batch_size=cfg.batch_size,
             shuffle=True, seed=cfg.seed,
         )
         history = TrainHistory()
@@ -236,8 +194,8 @@ class Trainer:
                 if eval_every and (
                     (epoch + 1) % eval_every == 0 or epoch == cfg.epochs - 1
                 ):
-                    train_acc = self.model.accuracy(x_train, dataset.y_train)
-                    test_acc = self.model.accuracy(x_test, dataset.y_test)
+                    train_acc = self.model.accuracy(dataset.x_train, dataset.y_train)
+                    test_acc = self.model.accuracy(dataset.x_test, dataset.y_test)
                     history.train_accuracy.append(train_acc)
                     history.test_accuracy.append(test_acc)
                     sp.set(train_accuracy=train_acc, test_accuracy=test_acc)

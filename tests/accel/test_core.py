@@ -122,19 +122,6 @@ class TestAdaptiveMapping:
 
 
 class TestBufferAndStreams:
-    def test_weight_fits(self):
-        model = CoreModel()
-        small = CoreWorkload(layer=conv_layer(), out_channels=4, in_channels_used=16)
-        assert model.weight_fits(small)
-        big_layer = dense_layer(in_f=4096, out_f=4096)
-        big = CoreWorkload(layer=big_layer, out_channels=4096, in_channels_used=4096)
-        assert not model.weight_fits(big)
-
-    def test_weight_stream_bytes(self):
-        model = CoreModel()
-        work = CoreWorkload(layer=dense_layer(), out_channels=64, in_channels_used=256)
-        assert model.weight_stream_bytes(work) == 64 * 256 * 2
-
     def test_sram_traffic_positive_and_scales(self):
         model = CoreModel()
         small = CoreWorkload(layer=conv_layer(), out_channels=4, in_channels_used=16)

@@ -1,55 +1,8 @@
-"""Tests for metrics and table rendering."""
-
-import math
+"""Tests for table rendering."""
 
 import pytest
 
-from repro.analysis import (
-    format_value,
-    geometric_mean,
-    reduction,
-    relative_error,
-    render_table,
-    speedup,
-    within_factor,
-)
-
-
-class TestMetrics:
-    def test_speedup(self):
-        assert speedup(200, 100) == 2.0
-
-    def test_speedup_zero_rejected(self):
-        with pytest.raises(ValueError):
-            speedup(100, 0)
-
-    def test_reduction(self):
-        assert reduction(100, 25) == 0.75
-        assert reduction(0, 10) == 0.0
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([3]) == pytest.approx(3.0)
-
-    def test_geometric_mean_rejects(self):
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1, -1])
-
-    def test_relative_error(self):
-        assert relative_error(110, 100) == pytest.approx(0.1)
-        assert relative_error(0, 0) == 0.0
-        assert math.isinf(relative_error(5, 0))
-
-    def test_within_factor(self):
-        assert within_factor(2.0, 1.0, 2.0)
-        assert within_factor(0.5, 1.0, 2.0)
-        assert not within_factor(3.0, 1.0, 2.0)
-
-    def test_within_factor_validation(self):
-        with pytest.raises(ValueError):
-            within_factor(1, 1, 0.5)
+from repro.analysis import format_value, render_table
 
 
 class TestRenderTable:

@@ -1,6 +1,6 @@
 """Pareto-frontier selection on hand-built point sets."""
 
-from repro.analysis import pareto_flags, pareto_front
+from repro.analysis import pareto_flags
 
 
 class TestParetoFlags:
@@ -19,7 +19,6 @@ class TestParetoFlags:
 
     def test_empty(self):
         assert pareto_flags([]) == []
-        assert pareto_front([]) == []
 
     def test_duplicates_both_survive(self):
         points = [(10.0, 100.0), (10.0, 100.0), (5.0, 200.0)]
@@ -29,8 +28,3 @@ class TestParetoFlags:
         # Same goodput, worse latency -> dominated.
         assert pareto_flags([(10.0, 100.0), (10.0, 150.0)]) == [True, False]
 
-
-class TestParetoFront:
-    def test_sorted_by_descending_goodput(self):
-        points = [(10.0, 100.0), (30.0, 500.0), (20.0, 200.0), (15.0, 300.0)]
-        assert pareto_front(points) == [1, 2, 0]

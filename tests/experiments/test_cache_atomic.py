@@ -77,7 +77,7 @@ class TestLoadMetrics:
     def test_hit_and_miss_counters(self, cache_dir, monkeypatch):
         # Disable the in-process memo so every load exercises the disk path
         # (memoized loads count cache.memo.* instead, covered elsewhere).
-        monkeypatch.setenv("REPRO_CACHE_MEMO", "0")
+        monkeypatch.setattr(cache, "MEMO_CAPACITY", {"state": 0, "json": 0})
         METRICS.reset()
         assert cache.load_json("absent") is None
         cache.save_json("present", {"x": 1})

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.cache import (
     cache_dir,
-    cached_json,
+    ensure_json,
     load_state,
     save_state,
     settings_key,
@@ -54,8 +54,8 @@ class TestJsonCache:
             calls.append(1)
             return {"v": 42}
 
-        assert cached_json("j1", compute) == {"v": 42}
-        assert cached_json("j1", compute) == {"v": 42}
+        assert ensure_json("j1", compute) == {"v": 42}
+        assert ensure_json("j1", compute) == {"v": 42}
         assert len(calls) == 1
 
 

@@ -1,21 +1,16 @@
-"""Cache-key stability: dtype must not perturb pre-existing settings hashes.
+"""Cache-key stability: training settings must not perturb existing hashes.
 
-The keys pinned here were computed from the seed code (before ``TrainConfig``
-grew a ``dtype`` field).  Default-dtype runs must keep minting byte-identical
-keys so every existing ``.repro_cache`` artifact stays valid; non-default
-dtypes must mint *different* keys so float32 weights never masquerade as the
-float64 goldens.
+The keys pinned here were computed from the seed code.  Runs must keep
+minting byte-identical keys so every existing ``.repro_cache`` artifact
+stays valid.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.experiments.cache import settings_key
 from repro.experiments.common import dataset_for
 from repro.experiments.config import FAST
-from repro.train.trainer import TrainConfig, train_settings
+from repro.train.trainer import train_settings
 
 #: Keys minted by the seed code (FAST profile, mlp, no build kwargs).
 GOLDEN_BASELINE_KEY = "baseline-mlp-6041e4698ffd"
@@ -56,46 +51,8 @@ def _grid_key(profile) -> str:
 
 
 class TestDefaultDtypeKeysUnchanged:
-    def test_baseline_key_matches_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+    def test_baseline_key_matches_seed(self):
         assert _baseline_key(FAST) == GOLDEN_BASELINE_KEY
 
-    def test_grid_point_key_matches_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
+    def test_grid_point_key_matches_seed(self):
         assert _grid_key(FAST) == GOLDEN_GRID_KEY
-
-    def test_explicit_float64_is_still_the_default_key(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DTYPE", raising=False)
-        cfg64 = TrainConfig(epochs=4, dtype="float64")
-        cfg_default = TrainConfig(epochs=4)
-        assert train_settings(cfg64) == train_settings(cfg_default)
-        assert "dtype" not in train_settings(cfg_default)
-
-
-class TestNonDefaultDtypeChangesKeys:
-    def test_float32_field_changes_settings(self):
-        cfg = TrainConfig(epochs=4, dtype="float32")
-        settings = train_settings(cfg)
-        assert settings["dtype"] == "float32"
-        assert settings != train_settings(TrainConfig(epochs=4))
-
-    def test_env_dtype_changes_key(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        assert _baseline_key(FAST) != GOLDEN_BASELINE_KEY
-        monkeypatch.delenv("REPRO_DTYPE")
-        assert _baseline_key(FAST) == GOLDEN_BASELINE_KEY
-
-    def test_field_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPE", "float32")
-        cfg = TrainConfig(dtype="float64")
-        assert cfg.resolved_dtype() == np.dtype(np.float64)
-        assert "dtype" not in train_settings(cfg)
-
-    def test_bad_env_dtype_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DTYPE", "float16")
-        with pytest.raises(ValueError, match="REPRO_DTYPE"):
-            TrainConfig().resolved_dtype()
-
-    def test_bad_field_dtype_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="dtype"):
-            TrainConfig(dtype="bfloat16")

@@ -46,7 +46,7 @@ class TestJsonMemo:
         assert cache.load_json("entry") == {"inner": {"x": 1}}
 
     def test_eviction_falls_back_to_disk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MEMO", "1")
+        monkeypatch.setitem(cache.MEMO_CAPACITY, "json", 1)
         cache.save_json("a", {"k": "a"})
         cache.save_json("b", {"k": "b"})  # capacity 1: evicts "a"
         assert cache.load_json("a") == {"k": "a"}
@@ -75,7 +75,7 @@ class TestStateMemo:
             loaded["w"][0] = 2.0
 
     def test_disabled_memo_always_reads_disk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MEMO", "0")
+        monkeypatch.setitem(cache.MEMO_CAPACITY, "state", 0)
         cache.save_state("model", {"w": np.ones(4)})
         cache.load_state("model")
         cache.load_state("model")

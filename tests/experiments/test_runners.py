@@ -9,6 +9,7 @@ import dataclasses
 
 import pytest
 
+from repro.experiments import runner, table4, table6
 from repro.experiments.ablations import (
     run_analytical_agreement,
     run_mapping_ablation,
@@ -19,7 +20,7 @@ from repro.experiments.config import FAST
 from repro.experiments.motivation import render_motivation, run_motivation
 from repro.experiments.table4 import render_table4, run_network
 from repro.experiments.table6 import run_table6
-from repro.experiments.runner import EXPERIMENTS, run_one
+from repro.experiments.runner import EXPERIMENTS, run_all, run_one
 from repro.obs import METRICS
 
 
@@ -116,6 +117,31 @@ class TestRunner:
 
     def test_registry_covers_paper(self):
         assert {"table1", "table3", "table4", "table5", "table6"} <= set(EXPERIMENTS)
+
+    def test_run_all_hands_workers_to_each_experiment(self, monkeypatch):
+        """The worker count is an argument, so it must reach the grids below."""
+        seen = []
+
+        def fake_run_one(name, profile, workers=None):
+            seen.append((name, workers))
+            return name
+
+        monkeypatch.setattr(runner, "_run_one", fake_run_one)
+        assert run_all(FAST, ("table1",), workers=3) == {"table1": "table1"}
+        assert seen == [("table1", 3)]
+
+    def test_table4_and_table6_hand_workers_to_run_network(self, monkeypatch):
+        seen = []
+
+        def fake_run_network(network, profile, num_cores=16, workers=None):
+            seen.append((network, num_cores, workers))
+            return []
+
+        monkeypatch.setattr(table4, "run_network", fake_run_network)
+        monkeypatch.setattr(table6, "run_network", fake_run_network)
+        table4.run_table4(FAST, networks=("mlp",), workers=3)
+        table6.run_table6(FAST, core_counts=(8,), workers=3)
+        assert seen == [("mlp", 16, 3), ("lenet", 8, 3)]
 
 
 class TestNewAblations:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import MSELoss, Parameter, SGD, SoftmaxCrossEntropy
+from repro.nn import Parameter, SGD, SoftmaxCrossEntropy
 from repro.nn.functional import log_softmax
 
 from ..conftest import numeric_gradient
@@ -46,25 +46,6 @@ class TestSoftmaxCrossEntropy:
     def test_backward_before_forward(self):
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
-
-
-class TestMSELoss:
-    def test_value(self):
-        loss = MSELoss()(np.array([1.0, 2.0]), np.array([1.0, 4.0]))
-        assert np.isclose(loss, 2.0)
-
-    def test_gradient(self, rng):
-        pred = rng.normal(size=(3, 2))
-        target = rng.normal(size=(3, 2))
-        fn = MSELoss()
-        fn(pred, target)
-        np.testing.assert_allclose(
-            fn.backward(), 2 * (pred - target) / pred.size
-        )
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            MSELoss()(np.zeros(3), np.zeros(4))
 
 
 def quadratic_params(rng):

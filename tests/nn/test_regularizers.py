@@ -1,17 +1,9 @@
-"""Tests for L1/L2 and (masked) group-Lasso regularizers."""
+"""Tests for the (masked) group-Lasso regularizer."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    CompositeRegularizer,
-    Dense,
-    GroupLassoRegularizer,
-    L1Regularizer,
-    L2Regularizer,
-    ReLU,
-    Sequential,
-)
+from repro.nn import Dense, GroupLassoRegularizer, ReLU, Sequential
 from repro.nn.sparsity import CoreBlockPartition
 
 from ..conftest import numeric_gradient
@@ -24,50 +16,6 @@ def two_layer_model(rng=None):
         input_shape=(8,),
         name="m",
     )
-
-
-class TestElementwiseRegularizers:
-    def test_l2_loss_value(self):
-        model = two_layer_model()
-        reg = L2Regularizer(0.5)
-        expected = 0.5 * sum(
-            np.sum(p.data ** 2)
-            for name, p in model.named_parameters() if name.endswith("weight")
-        )
-        assert np.isclose(reg.loss(model), expected)
-
-    def test_l2_excludes_biases(self):
-        model = two_layer_model()
-        model.get_parameter("ip1.bias").data[...] = 100.0
-        before = L2Regularizer(1.0).loss(model)
-        model.get_parameter("ip1.bias").data[...] = 0.0
-        assert np.isclose(before, L2Regularizer(1.0).loss(model))
-
-    def test_l2_gradient(self):
-        model = two_layer_model()
-        model.zero_grad()
-        L2Regularizer(0.3).add_gradients(model)
-        p = model.get_parameter("ip1.weight")
-        np.testing.assert_allclose(p.grad, 0.6 * p.data)
-
-    def test_l1_loss_and_grad(self):
-        model = two_layer_model()
-        reg = L1Regularizer(0.2)
-        expected = 0.2 * sum(
-            np.sum(np.abs(p.data))
-            for name, p in model.named_parameters() if name.endswith("weight")
-        )
-        assert np.isclose(reg.loss(model), expected)
-        model.zero_grad()
-        reg.add_gradients(model)
-        p = model.get_parameter("ip2.weight")
-        np.testing.assert_allclose(p.grad, 0.2 * np.sign(p.data))
-
-    def test_negative_lam_rejected(self):
-        with pytest.raises(ValueError):
-            L2Regularizer(-1.0)
-        with pytest.raises(ValueError):
-            L1Regularizer(-1.0)
 
 
 def group_lasso_for(model, num_cores=4, lam=0.1, strength=None, normalize=False):
@@ -181,36 +129,3 @@ class TestGroupLasso:
                 },
                 lam=0.1,
             )
-
-
-class TestComposite:
-    def test_sums_losses(self):
-        model = two_layer_model()
-        l2 = L2Regularizer(0.1)
-        gl = group_lasso_for(model)
-        comp = CompositeRegularizer(l2, gl)
-        assert np.isclose(comp.loss(model), l2.loss(model) + gl.loss(model))
-
-    def test_sums_gradients(self):
-        model = two_layer_model()
-        l2 = L2Regularizer(0.1)
-        gl = group_lasso_for(model)
-
-        model.zero_grad()
-        CompositeRegularizer(l2, gl).add_gradients(model)
-        combined = model.get_parameter("ip1.weight").grad.copy()
-
-        model.zero_grad()
-        l2.add_gradients(model)
-        gl.add_gradients(model)
-        np.testing.assert_allclose(
-            combined, model.get_parameter("ip1.weight").grad
-        )
-
-    def test_prox_delegates(self):
-        model = two_layer_model()
-        w = model.get_parameter("ip1.weight")
-        w.data *= 1e-4
-        comp = CompositeRegularizer(L2Regularizer(0.1), group_lasso_for(model, lam=1.0))
-        comp.prox_step(model, lr=0.1)
-        assert np.all(w.data == 0.0)

@@ -19,11 +19,12 @@ from repro.noc import (
     NoCConfig,
     NoCSimulator,
     Packet,
-    ReferenceNoCSimulator,
     neighbor_traffic,
     transpose_traffic,
     uniform_random_traffic,
 )
+
+from .reference import ReferenceNoCSimulator
 
 
 def run_both(mesh: Mesh2D, config: NoCConfig, make_packets):

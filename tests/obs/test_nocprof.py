@@ -11,7 +11,6 @@ from repro.noc import (
     Mesh2D,
     NoCConfig,
     NoCSimulator,
-    ReferenceNoCSimulator,
     TrafficMatrix,
     uniform_random_traffic,
 )
@@ -19,6 +18,8 @@ from repro.noc.topology import EAST, LOCAL, SOUTH
 from repro.obs import NoCProfile
 from repro.partition import build_traditional_plan
 from repro.sim.engine import InferenceSimulator, SimConfig
+
+from ..noc.reference import ReferenceNoCSimulator
 
 
 def drain(engine_cls, mesh, traffic, config, profile=None):

@@ -13,8 +13,6 @@ from repro.parallel import warmpool
 
 @pytest.fixture(autouse=True)
 def clean_parallel_state(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    monkeypatch.delenv("REPRO_IN_WORKER", raising=False)
     # Multi-worker behavior tests must exercise real pools even on small CI
     # boxes, so pretend there are plenty of CPUs (resolve_workers clamps to
     # os.cpu_count otherwise); the clamp itself is tested explicitly.

@@ -11,8 +11,7 @@ import pytest
 
 from repro import obs
 from repro.obs import METRICS
-from repro.parallel import default_workers, in_worker, pmap, resolve_workers
-from repro.parallel.pool import _WORKER_ENV
+from repro.parallel import in_worker, pmap, resolve_workers, warmpool
 
 
 def _snapshot_without_parallel_keys() -> dict:
@@ -60,24 +59,20 @@ def _weights_digest(x: int, weights: np.ndarray) -> tuple:
 
 class TestWorkerResolution:
     def test_default_is_serial(self):
-        assert default_workers() == 1
         assert resolve_workers(None) == 1
 
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "6")
-        assert default_workers() == 6
-        assert resolve_workers(None) == 6
-
     def test_explicit_arg_beats_env(self, monkeypatch):
+        """The count is the argument; a REPRO_WORKERS export changes nothing."""
         monkeypatch.setenv("REPRO_WORKERS", "6")
         assert resolve_workers(2) == 2
+        assert resolve_workers(None) == 1
 
     def test_garbage_env_is_serial(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "many")
         assert resolve_workers(None) == 1
 
     def test_worker_marker_forces_serial(self, monkeypatch):
-        monkeypatch.setenv(_WORKER_ENV, "1")
+        monkeypatch.setattr(warmpool, "_in_worker", True)
         assert in_worker()
         assert resolve_workers(8) == 1
 
@@ -85,12 +80,6 @@ class TestWorkerResolution:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.warns(RuntimeWarning, match="clamping to 2"):
             assert resolve_workers(6) == 2
-
-    def test_env_request_clamped_too(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "16")
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        with pytest.warns(RuntimeWarning):
-            assert resolve_workers(None) == 4
 
     def test_at_or_below_cpu_count_passes_through(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -191,7 +180,7 @@ class TestAdaptiveDispatch:
         assert METRICS.counter("parallel.dispatch.serial", reason="unpicklable") == 1
 
     def test_nested_calls_record_no_dispatch(self, monkeypatch):
-        monkeypatch.setenv(_WORKER_ENV, "1")
+        monkeypatch.setattr(warmpool, "_in_worker", True)
         METRICS.reset()
         pmap(_square, range(4), workers=4)
         assert METRICS.counter("parallel.dispatch", path="serial") == 0

@@ -8,6 +8,7 @@ import os
 import time
 
 from repro.obs import METRICS
+from repro.parallel import singleflight
 from repro.parallel.singleflight import run_single_flight
 
 
@@ -74,7 +75,7 @@ class TestSerialBehaviour:
 
     def test_aged_out_lock_of_live_owner_is_broken(self, tmp_path, monkeypatch):
         METRICS.reset()
-        monkeypatch.setenv("REPRO_LOCK_STALE_S", "0.01")
+        monkeypatch.setattr(singleflight, "STALE_AFTER_S", 0.01)
         lock = tmp_path / "a.lock"
         lock.write_text(json.dumps({"pid": os.getpid(), "t": time.time() - 60}))
         os.utime(lock, (time.time() - 60, time.time() - 60))

@@ -15,13 +15,20 @@ def _pid_of(_: int) -> int:
 class TestWarmReuse:
     def test_consecutive_pmaps_reuse_the_same_workers(self):
         METRICS.reset()
-        first = set(pmap(_pid_of, range(8), workers=2))
-        second = set(pmap(_pid_of, range(8), workers=2))
-        third = set(pmap(_pid_of, range(8), workers=2))
-        assert os.getpid() not in first
+        calls = []
+        for _ in range(3):
+            served = set(pmap(_pid_of, range(8), workers=2))
+            calls.append((served, set(warmpool.current_executor()._processes)))
+        pool = calls[0][1]
+        assert len(pool) == 2 and os.getpid() not in pool
         # The whole point of the warm pool: later calls hit the same
-        # processes instead of paying spawn + re-import again.
-        assert first == second == third
+        # processes instead of paying spawn + re-import again.  Which of
+        # them picks up each tiny task is scheduling (one worker can drain
+        # all eight before a slow fork finishes the other), so the check is
+        # on the pool's processes, and every task ran on one of them.
+        for served, processes in calls:
+            assert processes == pool
+            assert served <= pool
         assert METRICS.counter("parallel.pool.spawned") == 1
         assert METRICS.counter("parallel.pool.reused") == 2
 
@@ -47,8 +54,8 @@ class TestRecycling:
         first = set(pmap(_pid_of, range(8), workers=2))
         monkeypatch.setenv("REPRO_CACHE_DIR", "/tmp/warmpool-recycle-test")
         second = set(pmap(_pid_of, range(8), workers=2))
-        # Fork workers snapshot the parent env; a changed REPRO_* var must
-        # never leave warm workers running against the stale value.
+        # Fork workers snapshot the parent env; a moved cache directory must
+        # never leave warm workers reading the stale one.
         assert first.isdisjoint(second)
         assert METRICS.counter("parallel.pool.recycled", reason="env_changed") == 1
         assert METRICS.counter("parallel.pool.spawned") == 2
@@ -56,6 +63,8 @@ class TestRecycling:
     def test_workers_and_pool_knobs_do_not_recycle(self, monkeypatch):
         METRICS.reset()
         pmap(_pid_of, range(8), workers=2)
+        # Only the cache directory is read in workers; other variables,
+        # REPRO_* names included, leave the warm pool alone.
         monkeypatch.setenv("REPRO_WORKERS", "2")
         pmap(_pid_of, range(8), workers=2)
         assert METRICS.counter("parallel.pool.spawned") == 1

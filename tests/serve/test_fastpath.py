@@ -216,12 +216,11 @@ def test_custom_scheduler_falls_back_and_force_raises():
     assert METRICS.counter("serve.fastpath.fallback", reason="no_index_queue") == 1
 
 
-def test_fastpath_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_SERVE_FASTPATH", raising=False)
-    assert fastpath_mode() == "auto"
-    monkeypatch.setenv("REPRO_SERVE_FASTPATH", "off")
-    assert fastpath_mode() == "off"
-    assert fastpath_mode("force") == "force"  # explicit beats env
-    monkeypatch.setenv("REPRO_SERVE_FASTPATH", "banana")
+def test_fastpath_mode_resolution():
+    for mode in ("auto", "off", "force"):
+        assert fastpath_mode(mode) == mode
+    for bad in ("on", "banana", "OFF", None):
+        with pytest.raises(ValueError):
+            fastpath_mode(bad)
     with pytest.raises(ValueError):
-        fastpath_mode()
+        ServeSimulator(None, None, None, fastpath="on")  # resolved up front

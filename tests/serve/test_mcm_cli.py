@@ -62,6 +62,24 @@ class TestMcmValidation:
         with pytest.raises(SystemExit):
             main(["--network", "lenet", "--chips", "0", "--cores", "8"])
 
+    def test_group_cores_rejected_with_chips(self, capsys):
+        """An MCM's replica groups are its pipelines, not core groups."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--chips", "2", "--cores", "8",
+                  "--requests", "20", "--group-cores", "4"])
+        assert exc.value.code == 2
+        assert "--group-cores requires --chips 1" in capsys.readouterr().err
+
+    def test_interchip_flags_rejected_on_one_chip(self, capsys):
+        """A single chip has no inter-chip link to override."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--cores", "8", "--requests", "20",
+                  "--interchip-bytes-per-cycle", "8"])
+        assert exc.value.code == 2
+        assert "--interchip-bytes-per-cycle requires --chips > 1" in (
+            capsys.readouterr().err
+        )
+
     def test_stages_rejected_in_sweep(self, capsys):
         """The sweep races every stage count, so a fixed depth is an error."""
         with pytest.raises(SystemExit):

@@ -65,6 +65,31 @@ class TestSingleRun:
         with pytest.raises(SystemExit):
             main(["--cores", "16", "--group-cores", "3"])
 
+    def test_group_cores_defaults_to_cores(self, capsys):
+        """Without --group-cores the chip is one model-parallel group."""
+        assert main(
+            ["--network", "lenet", "--cores", "8", "--requests", "10", "--rate", "2"]
+        ) == 0
+        assert "1 x 8-core" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flag", [["--profile", "fast"], ["--workers", "2"]], ids=["profile", "workers"]
+    )
+    def test_single_run_rejects_sweep_flag(self, flag, capsys):
+        """One simulation has no size profile and nothing to shard."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--cores", "4", "--requests", "5", *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} requires --sweep" in capsys.readouterr().err
+
+    def test_ts_window_requires_a_trace(self, capsys):
+        """Time series are only collected for --trace / --perfetto."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--cores", "4", "--requests", "5",
+                  "--ts-window", "4096"])
+        assert exc.value.code == 2
+        assert "--ts-window requires --trace or --perfetto" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_sweep_fast_profile(self, capsys):
@@ -97,8 +122,18 @@ class TestSweep:
             ["--requests", "40"],
             ["--workload", "mmpp"],
             ["--rate", "5"],
+            ["--burst-rate", "99"],
+            ["--clients", "3"],
+            ["--think", "5"],
+            ["--scheme", "structure"],
+            ["--group-cores", "4"],
+            ["--records", "summary"],
+            ["--fastpath", "off"],
         ],
-        ids=["network", "requests", "workload", "rate"],
+        ids=[
+            "network", "requests", "workload", "rate", "burst_rate", "clients",
+            "think", "scheme", "group_cores", "records", "fastpath",
+        ],
     )
     def test_sweep_rejects_single_run_flag(self, flag, capsys):
         """The sweep serves its own network and load, so the flag is an error."""

@@ -51,7 +51,7 @@ class TestBasicSimulation:
     def test_total_is_sum_of_parts(self, chip, mlp_plan):
         result = InferenceSimulator(chip).simulate(mlp_plan)
         expected = result.input_load_cycles + sum(
-            l.comm_cycles + max(l.compute_cycles, l.dram_cycles)
+            l.comm_cycles + l.compute_cycles
             for l in result.layers
         )
         assert result.total_cycles == expected
@@ -69,14 +69,6 @@ class TestBasicSimulation:
         assert with_load.input_load_cycles > 0
         assert without.input_load_cycles == 0
         assert with_load.total_cycles > without.total_cycles
-
-    def test_dram_toggle(self, chip, mlp_plan):
-        base = InferenceSimulator(chip, SimConfig()).simulate(mlp_plan)
-        dram = InferenceSimulator(chip, SimConfig(include_dram=True)).simulate(mlp_plan)
-        assert all(l.dram_cycles == 0 for l in base.layers)
-        assert any(l.dram_cycles > 0 for l in dram.layers)
-        # MLP weights dominate: DRAM streaming slows it down.
-        assert dram.total_cycles > base.total_cycles
 
 
 class TestCommModes:

@@ -6,17 +6,15 @@ from repro.noc.energy import EnergyBreakdown
 from repro.sim import LayerTimeline, SimulationResult
 
 
-def timeline(name="l", compute=100, comm=50, dram=0, traffic=1000, energy=1e-9):
+def timeline(name="l", compute=100, comm=50, traffic=1000, energy=1e-9):
     return LayerTimeline(
         layer_name=name,
         compute_cycles=compute,
         comm_cycles=comm,
-        dram_cycles=dram,
         traffic_bytes=traffic,
         flit_hops=traffic // 64,
         noc_energy=EnergyBreakdown(energy, 0, 0, 0),
         compute_energy_j=2e-9,
-        dram_energy_j=0.0,
         comm_mode="cycle",
     )
 
@@ -31,10 +29,6 @@ def result(layers, input_load=0):
 class TestLayerTimeline:
     def test_total_cycles_comm_plus_compute(self):
         assert timeline(compute=100, comm=50).total_cycles == 150
-
-    def test_dram_overlaps_compute(self):
-        assert timeline(compute=100, comm=0, dram=300).total_cycles == 300
-        assert timeline(compute=400, comm=0, dram=300).total_cycles == 400
 
 
 class TestSimulationResult:

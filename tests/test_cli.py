@@ -42,14 +42,25 @@ class TestCLIAblations:
 
 
 class TestCLIWorkers:
-    def test_workers_flag_exports_env_and_prints_cache_summary(
+    def test_workers_flag_reaches_runner_and_prints_cache_summary(
         self, capsys, monkeypatch
     ):
         import os
 
-        monkeypatch.setenv("REPRO_WORKERS", "1")  # restored (to absent) after
+        from repro import cli
+
+        seen = []
+        run_one = cli.run_one
+
+        def spy(name, profile, workers=None):
+            seen.append(workers)
+            return run_one(name, profile, workers=workers)
+
+        monkeypatch.setattr(cli, "run_one", spy)
+        environ = dict(os.environ)
         assert main(["table1", "--profile", "fast", "--workers", "2"]) == 0
-        assert os.environ["REPRO_WORKERS"] == "2"
+        assert seen == [2]
+        assert dict(os.environ) == environ  # an argument, never an export
         assert "[cache]" in capsys.readouterr().out
 
     def test_workers_rejects_zero(self):

@@ -6,13 +6,7 @@ import pytest
 from repro.datasets import SyntheticImageDataset
 from repro.nn import Dense, ReLU, Sequential
 from repro.partition import build_sparsified_plan
-from repro.train import (
-    SparsifyConfig,
-    TrainConfig,
-    Trainer,
-    sparsity_report,
-    train_sparsified,
-)
+from repro.train import SparsifyConfig, TrainConfig, Trainer, train_sparsified
 
 
 @pytest.fixture(scope="module")
@@ -111,14 +105,6 @@ class TestTrainSparsified:
         result = train_sparsified(model, dataset, 4, "ss", quick_config())
         assert len(result.sparsify_history.loss) == 4
         assert len(result.finetune_history.loss) == 2
-
-    def test_report_renders(self, trained_setup):
-        model, dataset, state = trained_setup
-        model.load_state_dict(state)
-        result = train_sparsified(model, dataset, 4, "ss", quick_config())
-        text = sparsity_report(result)
-        assert "fc2.weight" in text
-        assert "accuracy" in text
 
 
 class TestSparsifyConfig:

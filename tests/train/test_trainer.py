@@ -3,8 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.nn import Dense, L2Regularizer, ReLU, Sequential
+from repro.nn import Conv2D, Dense, Flatten, Regularizer, ReLU, Sequential
 from repro.train import TrainConfig, Trainer
+
+
+class L2Regularizer(Regularizer):
+    """``lam * sum w^2`` over weight matrices: a penalty with no prox step,
+    so the trainer adds its gradients through ``add_gradients``."""
+
+    def __init__(self, lam: float) -> None:
+        self.lam = lam
+
+    def _weights(self, model):
+        return [p for name, p in model.named_parameters() if name.endswith(".weight")]
+
+    def loss(self, model) -> float:
+        return self.lam * sum(float(np.sum(p.data ** 2)) for p in self._weights(model))
+
+    def add_gradients(self, model) -> None:
+        for p in self._weights(model):
+            p.grad += 2.0 * self.lam * p.data
 
 
 def tiny_model(in_dim, classes=4, seed=0):
@@ -106,6 +124,23 @@ class TestTrainer:
         def norm(m):
             return sum(np.sum(p.data ** 2) for p in m.parameters())
         assert norm(reg) < norm(plain)
+
+    def test_second_fit_reuses_scratch_buffers(self, tiny_image_dataset):
+        """Sparsify-then-finetune trains one model twice; the second fit keeps
+        the conv layer's work buffers instead of reallocating them."""
+        rng = np.random.default_rng(0)
+        conv = Conv2D(1, 4, 3, name="conv1", rng=rng)
+        model = Sequential(
+            [conv, ReLU(), Flatten(), Dense(4 * 10 * 10, 4, name="fc", rng=rng)],
+            input_shape=(1, 12, 12),
+            name="tiny-conv",
+        )
+        cfg = TrainConfig(epochs=1, batch_size=40)
+        Trainer(model, cfg).fit(tiny_image_dataset)
+        before = dict(conv._scratch_buffers)
+        assert before
+        Trainer(model, cfg).fit(tiny_image_dataset)
+        assert all(conv._scratch_buffers[k] is buf for k, buf in before.items())
 
     def test_post_step_hook_runs(self, tiny_flat_dataset):
         model = tiny_model(144)
