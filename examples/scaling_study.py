@@ -2,8 +2,9 @@
 
 Pure geometry — no training.  Maps AlexNet with traditional parallelization
 onto chips of 4..64 cores and reports the communication-blocked fraction of
-single-pass latency, plus the latency/throughput trade-off against a
-data-parallel (one-input-per-core) deployment of the same chip.
+single-pass latency, plus the latency/throughput trade-off between the
+serving cluster's two poles on the same chip: one all-core group (model
+parallelism) against one-core groups (data parallelism, one input per core).
 
 Run:  python examples/scaling_study.py
 """
@@ -12,7 +13,8 @@ from repro.accel import ChipConfig
 from repro.analysis import render_table
 from repro.models import get_spec
 from repro.partition import build_traditional_plan
-from repro.sim import InferenceSimulator, compare_deployments
+from repro.serve import build_spec_cluster
+from repro.sim import InferenceSimulator
 
 
 def main() -> None:
@@ -23,13 +25,20 @@ def main() -> None:
         chip = ChipConfig.table2(cores)
         plan = build_traditional_plan(spec, cores)
         result = InferenceSimulator(chip).simulate(plan)
-        comparison = compare_deployments(spec, chip)
+        model_parallel = build_spec_cluster(spec, cores, cores)
+        data_parallel = build_spec_cluster(spec, cores, 1)
+        latency_advantage = data_parallel.unloaded_latency(
+            spec.name
+        ) / model_parallel.unloaded_latency(spec.name)
+        throughput_advantage = data_parallel.capacity_per_megacycle(
+            spec.name
+        ) / model_parallel.capacity_per_megacycle(spec.name)
         rows.append([
             cores,
             result.total_cycles,
             f"{result.comm_fraction:.1%}",
-            f"{comparison.latency_advantage:.1f}x",
-            f"{comparison.throughput_advantage:.1f}x",
+            f"{latency_advantage:.1f}x",
+            f"{throughput_advantage:.1f}x",
         ])
 
     print(render_table(

@@ -34,8 +34,6 @@ class AcceleratorConfig:
 
     pe_rows: int = 16  # Tn: output features per cycle
     pe_cols: int = 16  # Ti: input features per cycle
-    weight_buffer_bytes: int = 128 * 1024
-    data_buffer_bytes: int = 32 * 1024  # each of NBin / NBout
     value_bytes: int = 2  # 16-bit fixed point
     clock_ghz: float = 1.0
     # Intra-core mapping policy.  "adaptive" re-maps idle PE lanes to spatial

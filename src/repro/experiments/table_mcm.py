@@ -40,8 +40,7 @@ from ..mcm.topology import InterChipLink
 from ..models.spec import NetworkSpec
 from ..models.zoo import get_spec
 from ..parallel import pmap
-from ..serve.cluster import build_spec_cluster
-from ..serve.pipelined import build_mcm_cluster
+from ..serve.cluster import build_mcm_cluster, build_spec_cluster
 from ..serve.scheduler import make_scheduler
 from ..serve.simulator import simulate_serving
 from ..serve.slo import SLO

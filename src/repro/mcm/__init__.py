@@ -12,10 +12,12 @@ cross-chip pipeline.  This package supplies the pieces:
   into per-chip stages (contiguous, MAC-balanced by
   :func:`balanced_stage_split`) where each stage is internally an
   intra-layer partition plan over that chip's cores;
-* :mod:`repro.mcm.service` — :class:`PipelineService`, the pipelined
-  service-time profile (latency = sum of stages + inter-chip transfers,
-  steady-state interval = slowest stage, stage imbalance) consumed by
-  :class:`repro.serve.PipelinedCluster`.
+* :mod:`repro.mcm.service` — :class:`PipelineService`, the service-time
+  profile of every replica group :class:`repro.serve.Cluster` serves
+  (latency = sum of stages + inter-chip transfers, steady-state interval =
+  slowest stage, stage imbalance); a single-chip group is its one-stage
+  case, and :func:`repro.serve.build_mcm_cluster` builds the multi-stage
+  ones.
 
 An MCM of one-core chips joined by :meth:`InterChipLink.match_noc` is the
 single-chip layer pipeline §II.B rejects; the pipeline ablation times it

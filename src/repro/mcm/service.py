@@ -1,8 +1,9 @@
-"""Pipelined service-time profile of an MCM plan.
+"""Service-time profile of one replica group: a pipeline of one or more stages.
 
-:class:`PipelineService` is the cross-chip analogue of
-:class:`repro.serve.cluster.PlanService` and is consumed by the same
-serving loop (duck-typed on ``interval_cycles``):
+:class:`PipelineService` is the one service model the serving loop runs.
+A single-chip replica group is its one-stage case
+(:func:`repro.serve.cluster.service_for_plan`); an MCM plan is its
+multi-stage case (:func:`mcm_service`):
 
 * **latency** — one request traverses every stage serially: input load +
   sum of stage compute + sum of inter-chip transfers;
@@ -13,9 +14,11 @@ serving loop (duck-typed on ``interval_cycles``):
   the stages that compute (§II.B's load-imbalance measure);
 * **occupancy** — the *first* stage drains after ``input_load + stage_0 +
   (k - 1) * interval`` cycles, at which point the pipeline front is free
-  to accept the next batch while the tail is still in flight.
+  to accept the next batch while the tail is still in flight.  With one
+  stage the front is the whole group, so occupancy equals the batch time
+  and only the input load is amortized across a batch.
 
-Per-stage compute comes from the existing single-chip cycle engine via
+Per-stage compute comes from the single-chip cycle engine via
 ``service_for_plan`` (memoized): stage 0 keeps its DRAM input load, later
 stages drop it — their input arrives over the inter-chip link, charged
 separately by :meth:`McmPipelinePlan.inbound_transfer_cycles`.
@@ -24,6 +27,7 @@ separately by :meth:`McmPipelinePlan.inbound_transfer_cycles`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..sim.engine import SimConfig
 from .pipeline import McmPipelinePlan
@@ -33,7 +37,7 @@ __all__ = ["PipelineService", "mcm_service"]
 
 @dataclass(frozen=True)
 class PipelineService:
-    """Service profile of one pipeline (= one replica group of chips)."""
+    """Service profile of one replica group (one stage per chip)."""
 
     model: str
     scheme: str
@@ -67,20 +71,22 @@ class PipelineService:
     def stage_count(self) -> int:
         return len(self.stage_cycles)
 
-    @property
+    # The serving loop reads these two per dispatch; the profile is frozen,
+    # so each is computed once.
+    @cached_property
     def latency_cycles(self) -> int:
         """Queue-free single-request response time."""
         return self.input_load_cycles + sum(self.stage_cycles) + sum(self.transfer_cycles)
+
+    @cached_property
+    def interval_cycles(self) -> int:
+        """Steady-state cycles per request: slowest stage + inbound transfer."""
+        return max(s + t for s, t in zip(self.stage_cycles, self.transfer_cycles))
 
     @property
     def body_cycles(self) -> int:
         """Latency beyond the (amortizable) input load."""
         return self.latency_cycles - self.input_load_cycles
-
-    @property
-    def interval_cycles(self) -> int:
-        """Steady-state cycles per request: slowest stage + inbound transfer."""
-        return max(s + t for s, t in zip(self.stage_cycles, self.transfer_cycles))
 
     @property
     def imbalance(self) -> float:

@@ -25,7 +25,7 @@ from .network import Sequential
 from .optim import SGD, Optimizer
 from .quantize import FixedPointFormat, dequantize, quantize, quantize_model
 from .regularizers import GroupLassoRegularizer, Regularizer
-from .sparsity import CoreBlockPartition, GroupNormSummary, split_boundaries
+from .sparsity import CoreBlockPartition, split_boundaries
 
 __all__ = [
     "functional",
@@ -48,7 +48,6 @@ __all__ = [
     "Regularizer",
     "GroupLassoRegularizer",
     "CoreBlockPartition",
-    "GroupNormSummary",
     "split_boundaries",
     "FixedPointFormat",
     "quantize",

@@ -33,7 +33,6 @@ on a partition forces the loop, which is how the tests reach the reference.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "split_boundaries",
     "block_of",
     "CoreBlockPartition",
-    "GroupNormSummary",
 ]
 
 #: Auto-dispatch crossover: with fewer than this many (P^2) blocks the
@@ -90,15 +88,6 @@ def block_of(index: int, boundaries: list[tuple[int, int]]) -> int:
             if start <= index < stop:
                 return b
     raise IndexError(f"index {index} outside boundaries {boundaries}")
-
-
-@dataclass(frozen=True)
-class GroupNormSummary:
-    """Aggregate statistics of the block-norm matrix of one parameter."""
-
-    norms: np.ndarray  # (P, P) block L2 norms
-    zero_fraction: float  # fraction of blocks that are exactly zero
-    offdiag_zero_fraction: float  # zero fraction among producer != consumer blocks
 
 
 class CoreBlockPartition:
@@ -342,19 +331,6 @@ class CoreBlockPartition:
         """
         return self.block_norms(weights) <= tol
 
-    def summarize(self, weights: np.ndarray, tol: float = 0.0) -> GroupNormSummary:
-        """Block-norm statistics used by reports and tests."""
-        norms = self.block_norms(weights)
-        zero = norms <= tol
-        p = self.num_cores
-        off = ~np.eye(p, dtype=bool)
-        offdiag_zero = float(np.mean(zero[off])) if p > 1 else 0.0
-        return GroupNormSummary(
-            norms=norms,
-            zero_fraction=float(np.mean(zero)),
-            offdiag_zero_fraction=offdiag_zero,
-        )
-
     # -- pruning ----------------------------------------------------------------------
 
     def prune_blocks(
@@ -434,11 +410,3 @@ class CoreBlockPartition:
         need = ~self.zero_mask(weights, tol=tol)
         np.fill_diagonal(need, False)
         return need
-
-    def producer_channels(self, core: int) -> tuple[int, int]:
-        """(start, stop) range of producer channels assigned to ``core``."""
-        return self.producer_bounds[core]
-
-    def consumer_channels(self, core: int) -> tuple[int, int]:
-        """(start, stop) range of consumer channels assigned to ``core``."""
-        return self.consumer_bounds[core]

@@ -104,10 +104,6 @@ class NoCStats:
     max_packet_latency: int
     energy: EnergyEvents = field(default_factory=EnergyEvents)
 
-    @property
-    def throughput_flits_per_cycle(self) -> float:
-        return self.flits_delivered / self.cycles if self.cycles else 0.0
-
 
 class _InputVC:
     """One input virtual channel: a flit FIFO plus the owning packet's route.

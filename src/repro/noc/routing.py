@@ -108,10 +108,6 @@ class RouteTables:
     def num_nodes(self) -> int:
         return self.width * self.height
 
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
     def link_index(self, link: tuple[int, int]) -> int:
         """Position of ``link`` in the fixed link order."""
         return self.links.index(link)

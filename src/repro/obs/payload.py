@@ -39,8 +39,8 @@ def begin_capture(
     fresh collector when tracing, else None (tracing explicitly disabled).
 
     ``ts_config`` is the parent's :func:`~repro.obs.timeseries
-    .timeseries_config` when time-series collection is on (a dict, possibly
-    empty) and None when it is off — workers must mirror the parent's
+    .timeseries_config` when time-series collection is on (its window
+    width) and None when it is off — workers must mirror the parent's
     collection state, not inherit whatever a previous task left enabled.
     """
     METRICS.reset()

@@ -14,19 +14,19 @@ series is the time-resolved lens every scale-out PR debugs through.
 
 Memory is bounded no matter how many requests a run serves:
 
-* **Window coalescing.** At most ``max_windows`` windows are retained.  When
+* **Window coalescing.** At most ``MAX_WINDOWS`` windows are retained.  When
   a run outlives its window budget, adjacent window pairs merge and the
   window width doubles — the series keeps *full* coverage of the run at
   progressively coarser resolution instead of silently dropping history
   (``coalesced`` in the export counts the doublings).
 * **Reservoir-sampled latencies.** Each window keeps at most
-  ``window_reservoir`` latency samples (uniform reservoir, seeded — runs are
+  ``WINDOW_RESERVOIR`` latency samples (uniform reservoir, seeded — runs are
   reproducible), and the run-wide percentile state at most
-  ``cumulative_reservoir``.  While the observation count fits the reservoir
+  ``CUMULATIVE_RESERVOIR``.  While the observation count fits the reservoir
   the percentiles are **exact** nearest-rank values (``percentiles_exact``
   in the export) and match :class:`repro.serve.slo.SLOReport` digit for
   digit; past it they are sampled estimates.
-* **Request lifecycles.** The first ``request_cap`` per-request
+* **Request lifecycles.** The first ``REQUEST_CAP`` per-request
   ``(rid, arrival, start, finish, replica, batch_size)`` tuples are retained
   for the Chrome trace exporter (:mod:`repro.obs.chrometrace`); the rest
   are counted in ``requests_dropped``.
@@ -60,23 +60,29 @@ __all__ = [
     "global_timeseries",
     "clear_timeseries",
     "adopt_timeseries",
-    "DEFAULT_MAX_WINDOWS",
-    "DEFAULT_WINDOW_RESERVOIR",
-    "DEFAULT_CUMULATIVE_RESERVOIR",
-    "DEFAULT_REQUEST_CAP",
-    "DEFAULT_SLO_BUDGET",
+    "MAX_WINDOWS",
+    "WINDOW_RESERVOIR",
+    "CUMULATIVE_RESERVOIR",
+    "REQUEST_CAP",
+    "SLO_BUDGET",
+    "SEED",
 ]
 
+# Series settings.  Only the window width is configurable
+# (:func:`enable_timeseries`); tests shrink these by monkeypatching, and a
+# series reads them once, when it is built.
 #: Retained-window budget; must be even so coalescing merges exact pairs.
-DEFAULT_MAX_WINDOWS = 256
+MAX_WINDOWS = 256
 #: Per-window latency reservoir capacity.
-DEFAULT_WINDOW_RESERVOIR = 256
+WINDOW_RESERVOIR = 256
 #: Run-wide latency reservoir capacity (exact percentiles up to this count).
-DEFAULT_CUMULATIVE_RESERVOIR = 4096
+CUMULATIVE_RESERVOIR = 4096
 #: Per-request lifecycle tuples kept for Chrome trace export.
-DEFAULT_REQUEST_CAP = 20000
+REQUEST_CAP = 20000
 #: SLO error budget: burn rate 1.0 == violating this fraction of requests.
-DEFAULT_SLO_BUDGET = 0.01
+SLO_BUDGET = 0.01
+#: Reservoir RNG seed.
+SEED = 0
 #: Initial window width when none is configured (auto mode coalesces up).
 DEFAULT_WINDOW_CYCLES = 4096
 
@@ -191,13 +197,7 @@ class ServeTimeSeries:
         label: str,
         groups: int,
         window_cycles: int | None = None,
-        max_windows: int = DEFAULT_MAX_WINDOWS,
-        window_reservoir: int = DEFAULT_WINDOW_RESERVOIR,
-        cumulative_reservoir: int = DEFAULT_CUMULATIVE_RESERVOIR,
-        request_cap: int = DEFAULT_REQUEST_CAP,
         slo_cycles: int | None = None,
-        slo_budget: float = DEFAULT_SLO_BUDGET,
-        seed: int = 0,
         attrs: dict[str, Any] | None = None,
         stages: int = 0,
     ) -> None:
@@ -206,22 +206,19 @@ class ServeTimeSeries:
                 f"window_cycles must be positive, got {window_cycles} "
                 "(zero-width windows would never close)"
             )
-        if max_windows < 2 or max_windows % 2:
-            raise ValueError(f"max_windows must be even and >= 2, got {max_windows}")
-        if not 0 < slo_budget <= 1:
-            raise ValueError(f"slo_budget must be in (0, 1], got {slo_budget}")
+        if MAX_WINDOWS < 2 or MAX_WINDOWS % 2:
+            raise ValueError(f"MAX_WINDOWS must be even and >= 2, got {MAX_WINDOWS}")
         self.label = label
         self.groups = max(1, groups)
         self.initial_window_cycles = window_cycles
-        self.max_windows = max_windows
-        self.window_reservoir = window_reservoir
-        self.cumulative_reservoir = cumulative_reservoir
-        self.request_cap = request_cap
+        self.max_windows = MAX_WINDOWS
+        self.window_reservoir = WINDOW_RESERVOIR
+        self.request_cap = REQUEST_CAP
         self.slo_cycles = slo_cycles
-        self.slo_budget = slo_budget
-        self.seed = seed
+        self.slo_budget = SLO_BUDGET
+        self.seed = SEED
         self.attrs = dict(attrs or {})
-        #: Pipeline stages per replica group (0 = not a pipelined cluster).
+        #: Pipeline stages per replica group (0 = one-stage groups, no stage keys).
         self.stages = max(0, stages)
 
         self._width = window_cycles or DEFAULT_WINDOW_CYCLES
@@ -238,7 +235,7 @@ class ServeTimeSeries:
         self._finalized = False
 
         # Exact run-wide aggregates (independent of sampling/coalescing).
-        self._cum_latency = Reservoir(cumulative_reservoir, seed=(seed, "cum"))
+        self._cum_latency = Reservoir(CUMULATIVE_RESERVOIR, seed=(self.seed, "cum"))
         self._arrivals = 0
         self._completions = 0
         self._dispatches = 0
@@ -249,7 +246,7 @@ class ServeTimeSeries:
         self._queue_depth_max = 0
         self._busy_total: dict[int, int] = {}
         self._stage_busy_total: dict[tuple[int, int], int] = {}
-        #: first `request_cap` (start, end, replica, stage) stage intervals,
+        #: first `REQUEST_CAP` (start, end, replica, stage) stage intervals,
         #: kept for the Perfetto per-chip tracks.
         self._stage_intervals: list[tuple[int, int, int, int]] = []
         self._stage_intervals_dropped = 0
@@ -537,16 +534,15 @@ _config: dict[str, Any] = {}
 _series: list[ServeTimeSeries | dict] = []
 
 
-def enable_timeseries(**config: Any) -> None:
+def enable_timeseries(window_cycles: int | None = None) -> None:
     """Turn per-run time-series collection on.
 
-    ``config`` overrides :class:`ServeTimeSeries` constructor defaults for
-    every subsequently started series (``window_cycles``, ``max_windows``,
-    ``window_reservoir``, ``cumulative_reservoir``, ``request_cap``,
-    ``slo_budget``, ``seed``).
+    ``window_cycles`` pins the initial window width of every subsequently
+    started series (``None``: :data:`DEFAULT_WINDOW_CYCLES`, coarsening as
+    the run outlives :data:`MAX_WINDOWS`).
     """
     global _enabled, _config
-    _config = dict(config)
+    _config = {"window_cycles": window_cycles}
     _enabled = True
 
 

@@ -56,9 +56,6 @@ class ProducerLayout:
                 return core
         raise IndexError(f"input index {index} outside layout bounds")
 
-    def slice_sizes(self) -> list[int]:
-        return [stop - start for start, stop in self.bounds]
-
 
 def producer_layout_for(
     layer: LayerSpec,

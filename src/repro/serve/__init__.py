@@ -8,15 +8,14 @@ discrete-event serving simulator on top of the single-pass engine
 
 * :mod:`repro.serve.workload` — open-loop (Poisson / bursty MMPP) and
   closed-loop load generators with seeded determinism;
-* :mod:`repro.serve.cluster` — splits the chip's cores into replica groups,
-  each running one model-parallel plan whose per-request service time comes
-  from the existing engine (one simulation per distinct plan, memoized);
+* :mod:`repro.serve.cluster` — splits the chip's (or an MCM package's)
+  cores into replica groups, each a pipeline of one or more stages
+  (:class:`~repro.mcm.service.PipelineService`): one stage is a
+  model-parallel plan on one chip, timed by the existing engine (one
+  simulation per distinct plan, memoized); more stages pipeline layer
+  ranges across chips (:func:`build_mcm_cluster`, :mod:`repro.mcm`);
 * :mod:`repro.serve.scheduler` — pluggable dispatch policies: FIFO,
   shortest-job-first, per-model priority, and a DRAM-amortizing batcher;
-* :mod:`repro.serve.pipelined` — :class:`PipelinedCluster`, replica groups
-  of cross-chip pipelines on an MCM (:mod:`repro.mcm`): per-request latency
-  is the sum of stage times plus inter-chip transfers, steady-state
-  throughput is set by the slowest stage;
 * :mod:`repro.serve.simulator` — the event loop tying the three together;
 * :mod:`repro.serve.fastpath` — the columnar (struct-of-arrays) event loop
   the simulator auto-selects for open-loop workloads: identical results,
@@ -33,7 +32,7 @@ into a latency-throughput Pareto table.
 
 from .cluster import (
     Cluster,
-    PlanService,
+    build_mcm_cluster,
     build_replica_plan,
     build_spec_cluster,
     clear_service_memo,
@@ -41,7 +40,6 @@ from .cluster import (
     service_for_plan,
 )
 from .fastpath import fastpath_mode
-from .pipelined import PipelinedCluster, build_mcm_cluster
 from .results import RecordColumns, RequestRecord, ServeResult
 from .scheduler import (
     BatchingScheduler,
@@ -70,14 +68,12 @@ __all__ = [
     "PoissonWorkload",
     "MMPPWorkload",
     "ClosedLoopWorkload",
-    "PlanService",
     "Cluster",
     "service_for_plan",
     "build_replica_plan",
     "build_spec_cluster",
     "default_group_map",
     "clear_service_memo",
-    "PipelinedCluster",
     "build_mcm_cluster",
     "Scheduler",
     "IndexQueue",

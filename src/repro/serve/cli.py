@@ -36,8 +36,7 @@ import sys
 from .. import obs
 from ..cli import add_workers_flag, apply_workers
 from ..models.zoo import SPEC_BUILDERS, get_spec
-from .cluster import build_spec_cluster
-from .pipelined import build_mcm_cluster
+from .cluster import build_mcm_cluster, build_spec_cluster
 from .scheduler import SCHEDULERS, make_scheduler
 from .simulator import simulate_serving
 from .slo import SLO
@@ -61,6 +60,14 @@ _SINGLE_RUN_DEFAULTS = {
     "group_cores": None,
     "records": "full",
     "fastpath": "auto",
+}
+
+#: Single-run flags only some load generators read, and those generators.
+_WORKLOAD_FLAGS = {
+    "rate": ("poisson", "mmpp"),
+    "burst_rate": ("mmpp",),
+    "clients": ("closed",),
+    "think": ("closed",),
 }
 
 #: Sweep-only flags and their defaults.  A single run is one simulation:
@@ -146,11 +153,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rate", type=float, default=None,
         help="open-loop arrival rate in requests per megacycle (default: 20; "
-        "single runs only)",
+        "poisson and mmpp single runs only)",
     )
     parser.add_argument(
         "--burst-rate", type=float, default=None,
-        help="mmpp burst-state rate (default: 8x --rate; single runs only)",
+        help="mmpp burst-state rate (default: 8x --rate; mmpp single runs only)",
     )
     parser.add_argument(
         "--requests", type=int, default=None,
@@ -158,12 +165,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--clients", type=int, default=None,
-        help="closed-loop client population (default: 8; single runs only)",
+        help="closed-loop client population (default: 8; closed single runs "
+        "only)",
     )
     parser.add_argument(
         "--think", type=float, default=None,
-        help="closed-loop mean think time in cycles (default: 1e6; single "
-        "runs only)",
+        help="closed-loop mean think time in cycles (default: 1e6; closed "
+        "single runs only)",
     )
     parser.add_argument(
         "--slo-factor", type=float, default=2.0,
@@ -280,8 +288,8 @@ def _run_single(args: argparse.Namespace) -> int:
     print(cluster.describe())
     if args.chips > 1:
         svc = cluster.service(spec.name)
-        print(cluster.topology.describe())
         plan = cluster.plans[spec.name]
+        print(plan.topology.describe())
         sizes = "/".join(str(len(s.layers)) for s in plan.stages)
         kind = "searched" if args.search_stages else "balanced"
         print(f"  stage split [{sizes}] ({kind})")
@@ -346,12 +354,22 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.chips < 1:
-        parser.error(f"--chips must be >= 1, got {args.chips}")
+    for dest in ("cores", "group_cores", "chips", "stages"):
+        value = getattr(args, dest)
+        if value is not None and value < 1:
+            parser.error(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
     if args.search_stages and (args.chips == 1 or args.sweep):
         parser.error("--search-stages requires --chips > 1 and a single run")
     if args.stages is not None and args.sweep:
         parser.error("--stages requires a single run (--sweep races every stage count)")
+    if not args.sweep:
+        workload = args.workload or _SINGLE_RUN_DEFAULTS["workload"]
+        for dest, readers in _WORKLOAD_FLAGS.items():
+            if getattr(args, dest) is not None and workload not in readers:
+                parser.error(
+                    f"--{dest.replace('_', '-')} requires --workload "
+                    f"{' or '.join(readers)} (--workload {workload} never reads it)"
+                )
     for dest, default in _SINGLE_RUN_DEFAULTS.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -395,10 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     if traced:
         obs.enable_tracing()
         obs.enable_noc_profiling()
-        ts_config = {}
-        if args.ts_window is not None:
-            ts_config["window_cycles"] = args.ts_window
-        obs.enable_timeseries(**ts_config)
+        obs.enable_timeseries(window_cycles=args.ts_window)
     try:
         status = _run_sweep(args) if args.sweep else _run_single(args)
     finally:

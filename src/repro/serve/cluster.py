@@ -1,38 +1,49 @@
-"""Replica groups: splitting the chip's cores between copies of the model.
+"""Replica groups: the one deployment model of the serving layer.
 
-The serving simulator treats the N-core mesh as ``N // group_cores``
-independent **replica groups**.  Each group runs one model-parallel plan
-(traditional / structure / SS / SS_Mask — anything producing a
-:class:`~repro.partition.plan.ModelParallelPlan`) on a ``group_cores``-core
-sub-chip; a request occupies exactly one group for the plan's single-pass
-latency.  The two poles recover the paper's §I dichotomy:
+The serving simulator splits a chip's (or an MCM package's) cores into
+``num_groups`` identical **replica groups**.  Each group serves one request
+or batch at a time through a :class:`~repro.mcm.service.PipelineService`,
+a pipeline of one or more stages with one stage per chip.  One model spans
+the deployments the paper weighs (§I, §II.B) and Scope's pipelines x
+replicas composition (PAPERS.md):
 
-* ``group_cores == N`` — pure model parallelism: one request at a time,
-  minimal response time;
+* ``group_cores == total_cores`` on one chip — pure model parallelism: one
+  request at a time, minimal response time;
 * ``group_cores == 1`` — pure input-level (data) parallelism: N concurrent
-  requests, each at the single-core latency.
+  requests, each at the single-core latency;
+* groups of ``stages`` chips on an MCM (:func:`build_mcm_cluster`) —
+  contiguous layer ranges pipelined across chips, replicated ``chips //
+  stages`` times.
 
-Per-request service times come from the existing single-pass engine.  One
-simulation runs per *distinct plan* (memoized in-process, on top of the
-engine's persistent drain-time memo), so sweeping arrival rates is free
-after the first rate point.
+A single-chip group is the one-stage case: :func:`service_for_plan`
+simulates a model-parallel plan (traditional / structure / SS / SS_Mask —
+anything producing a :class:`~repro.partition.plan.ModelParallelPlan`) once,
+memoized in-process on top of the engine's persistent drain-time memo, so
+sweeping arrival rates is free after the first rate point.  A group
+accepts its next batch once its front stage drains (``occupancy_cycles``)
+and completes at most one request per ``interval_cycles``; with one stage
+both coincide with the batch's completion.  Capacity is therefore
+``num_groups * 1e6 / max(occupancy_cycles(1), interval_cycles)`` requests
+per megacycle for every layout.
 
 A deliberate simplification, documented here rather than hidden: replica
-groups are modeled as independent ``group_cores``-core chips (own mesh, own
-memory channel).  The ``memory_channels`` knob bounds that optimism:
-set to ``M``, at most ``M`` groups stream their DRAM input concurrently —
-a dispatch whose channel is busy waits for the earliest channel to free
-before its input load starts (compute stays independent per group).  The
-default (``None``) keeps the independent-channel behavior bit-exactly.
-Full memory-controller contention inside the cycle engine is still future
-work — see ROADMAP.md.
+groups are modeled as independent chips (own mesh, own memory channel).
+The ``memory_channels`` knob bounds that optimism: set to ``M``, at most
+``M`` groups stream their DRAM input concurrently — a dispatch whose
+channel is busy waits for the earliest channel to free before its input
+load starts (compute stays independent per group).  The default (``None``)
+keeps the independent-channel behavior bit-exactly.  Full memory-controller
+contention inside the cycle engine is still future work — see ROADMAP.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..accel.chip import ChipConfig
+from ..mcm.pipeline import McmPipelinePlan, build_mcm_plan
+from ..mcm.service import PipelineService, mcm_service
+from ..mcm.topology import InterChipLink, McmTopology
 from ..models.spec import NetworkSpec
 from ..obs import METRICS, span
 from ..partition.plan import ModelParallelPlan
@@ -41,59 +52,21 @@ from ..partition.traditional import build_traditional_plan
 from ..sim.engine import InferenceSimulator, SimConfig
 
 __all__ = [
-    "PlanService",
     "Cluster",
     "service_for_plan",
     "build_replica_plan",
     "build_spec_cluster",
+    "build_mcm_cluster",
     "default_group_map",
     "clear_service_memo",
 ]
 
 
-@dataclass(frozen=True)
-class PlanService:
-    """Service-time profile of one plan on one replica group.
-
-    ``input_load_cycles`` is the DRAM-fetch + on-chip-distribution time of
-    one input; ``body_cycles`` everything after it.  A batch of ``k``
-    requests pipelines the next input's DRAM stream behind the current
-    request's compute, so only the first input load is exposed — the
-    amortization the batching scheduler exploits.
-    """
-
-    model: str
-    scheme: str
-    cores: int
-    latency_cycles: int
-    input_load_cycles: int
-
-    def __post_init__(self) -> None:
-        if self.latency_cycles <= 0:
-            raise ValueError(f"latency must be positive, got {self.latency_cycles}")
-        if not 0 <= self.input_load_cycles <= self.latency_cycles:
-            raise ValueError(
-                f"input load ({self.input_load_cycles}) must be within the total "
-                f"latency ({self.latency_cycles})"
-            )
-
-    @property
-    def body_cycles(self) -> int:
-        """Per-request cycles beyond the (amortizable) input load."""
-        return self.latency_cycles - self.input_load_cycles
-
-    def batch_cycles(self, batch_size: int) -> int:
-        """Service time of ``batch_size`` back-to-back requests on one group."""
-        if batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        return self.input_load_cycles + batch_size * self.body_cycles
-
-
-#: (model, scheme, cores, per-layer plan, sim knobs) -> PlanService.  A
+#: (model, scheme, cores, per-layer plan, sim knobs) -> one-stage service.  A
 #: layer enters the key as its spec, its per-core workloads and its traffic
 #: bytes — everything the engine reads of it — so two plans share an entry
 #: only when the engine would time them identically.
-_SERVICE_MEMO: dict[tuple, PlanService] = {}
+_SERVICE_MEMO: dict[tuple, PipelineService] = {}
 
 
 def clear_service_memo() -> None:
@@ -105,11 +78,15 @@ def service_for_plan(
     plan: ModelParallelPlan,
     sim_config: SimConfig | None = None,
     model: str | None = None,
-) -> PlanService:
-    """Simulate ``plan`` once (memoized) and return its service profile.
+) -> PipelineService:
+    """Simulate ``plan`` once (memoized) and return its one-stage service.
 
-    ``model`` overrides the service's model name when the plan's own name
-    carries a transformation suffix (e.g. grouped specs).
+    The stage is everything after the input load, so a batch of ``k``
+    requests costs ``input_load + k * stage``: the next input's DRAM stream
+    pipelines behind the current request's compute, the amortization the
+    batching scheduler exploits.  ``model`` overrides the service's model
+    name when the plan's own name carries a transformation suffix (e.g.
+    grouped specs).
     """
     cfg = sim_config or SimConfig()
     name = model or plan.name
@@ -133,11 +110,13 @@ def service_for_plan(
             "serve.plan_sim", model=name, scheme=plan.scheme, cores=plan.num_cores
         ):
             result = InferenceSimulator(chip, cfg).simulate(plan)
-        _SERVICE_MEMO[key] = PlanService(
+        _SERVICE_MEMO[key] = PipelineService(
             model=name,
             scheme=plan.scheme,
-            cores=plan.num_cores,
-            latency_cycles=result.total_cycles,
+            chips=1,
+            cores_per_chip=plan.num_cores,
+            stage_cycles=(result.total_cycles - result.input_load_cycles,),
+            transfer_cycles=(0,),
             input_load_cycles=result.input_load_cycles,
         )
     return _SERVICE_MEMO[key]
@@ -191,22 +170,24 @@ def build_replica_plan(
 
 @dataclass
 class Cluster:
-    """The chip partitioned into homogeneous replica groups.
+    """The chip (or MCM package) partitioned into homogeneous replica groups.
 
-    ``services`` maps model names to the :class:`PlanService` every group
-    uses for that model (each group can serve any model — weight residency
-    across models is not modeled, see the module docstring).
+    ``services`` maps model names to the :class:`PipelineService` every
+    group uses for that model (each group can serve any model — weight
+    residency across models is not modeled, see the module docstring).
+    ``plans`` holds the MCM pipeline plan behind each service of a
+    multi-chip cluster (empty for single-chip groups).
 
     ``memory_channels`` caps how many groups may stream DRAM input
-    concurrently (``None`` = one independent channel per group, the
-    historical behavior, preserved bit-exactly).
+    concurrently (``None`` = one independent channel per group).
     """
 
     total_cores: int
     group_cores: int
-    services: dict[str, PlanService]
+    services: dict[str, PipelineService]
     scheme: str = "traditional"
     memory_channels: int | None = None
+    plans: dict[str, McmPipelinePlan] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.total_cores <= 0 or self.group_cores <= 0:
@@ -232,7 +213,12 @@ class Cluster:
     def num_groups(self) -> int:
         return self.total_cores // self.group_cores
 
-    def service(self, model: str) -> PlanService:
+    @property
+    def stages(self) -> int:
+        """Pipeline stages (chips) per replica group; 1 for a single chip."""
+        return max(svc.stage_count for svc in self.services.values())
+
+    def service(self, model: str) -> PipelineService:
         try:
             return self.services[model]
         except KeyError:
@@ -245,13 +231,22 @@ class Cluster:
         return self.service(model).latency_cycles
 
     def capacity_per_megacycle(self, model: str) -> float:
-        """Peak sustainable rate if every group ran only ``model``."""
-        return self.num_groups * 1e6 / self.service(model).latency_cycles
+        """Peak sustainable rate if every group ran only ``model``: a group
+        takes a request once its front drains and completes one per
+        interval."""
+        svc = self.service(model)
+        return self.num_groups * 1e6 / max(svc.occupancy_cycles(1), svc.interval_cycles)
 
     def describe(self) -> str:
+        if self.stages == 1:
+            return (
+                f"{self.num_groups} x {self.group_cores}-core replica groups "
+                f"({self.scheme}, {self.total_cores} cores)"
+            )
         return (
-            f"{self.num_groups} x {self.group_cores}-core replica groups "
-            f"({self.scheme}, {self.total_cores} cores)"
+            f"{self.num_groups} x {self.stages}-chip pipelines "
+            f"({self.scheme}, {self.group_cores // self.stages} cores/chip, "
+            f"{self.total_cores} cores)"
         )
 
 
@@ -272,4 +267,53 @@ def build_spec_cluster(
         services={spec.name: svc},
         scheme=scheme,
         memory_channels=memory_channels,
+    )
+
+
+def build_mcm_cluster(
+    spec: NetworkSpec,
+    chips: int,
+    cores_per_chip: int = 16,
+    stages: int | None = None,
+    scheme: str = "traditional",
+    link: InterChipLink | None = None,
+    sim_config: SimConfig | None = None,
+    memory_channels: int | None = None,
+    stage_split: str = "balanced",
+) -> Cluster:
+    """Serve one network from an MCM of ``chips`` chips.
+
+    ``stages`` chips form one pipeline (default: all of them — a single
+    package-wide pipeline); ``chips // stages`` pipelines serve in
+    parallel as replica groups.  ``stage_split`` picks the layer packing:
+    ``"balanced"`` (MAC-balanced, the default) or ``"searched"`` — the
+    stage-boundary DP of :func:`repro.search.search_stage_split`, which is
+    never worse than balanced on the measured interval.
+    """
+    if chips <= 0:
+        raise ValueError(f"chips must be positive, got {chips}")
+    stages = chips if stages is None else stages
+    if stages <= 0 or chips % stages:
+        raise ValueError(f"--stages {stages} does not tile {chips} chips")
+    topology = McmTopology.build(stages, cores_per_chip, link=link)
+    if stage_split == "searched":
+        # Lazy: repro.search imports repro.serve helpers at call time.
+        from ..search import search_stage_split
+
+        result = search_stage_split(spec, topology, scheme, sim_config=sim_config)
+        plan, svc = result.plan, result.service
+    elif stage_split == "balanced":
+        plan = build_mcm_plan(spec, topology, scheme)
+        svc = mcm_service(plan, sim_config=sim_config, model=spec.name)
+    else:
+        raise ValueError(
+            f"stage_split must be 'balanced' or 'searched', got {stage_split!r}"
+        )
+    return Cluster(
+        total_cores=chips * cores_per_chip,
+        group_cores=topology.total_cores,
+        services={spec.name: svc},
+        scheme=scheme,
+        memory_channels=memory_channels,
+        plans={spec.name: plan},
     )

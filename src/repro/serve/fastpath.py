@@ -28,7 +28,7 @@ order), so at any cycle arrivals drain before completions/releases —
 exactly this loop's arrival-cursor-first order — and release/completion
 pushes here mirror the object loop's push sequence one-for-one.
 Service times come from the same ``batch_cycles``/``occupancy_cycles``
-methods (memoized per ``(model, batch)``), pipelined groups keep
+methods (memoized per ``(model, batch)``), multi-stage groups keep
 release-before-completion and the backpressure floor, and the shared
 DRAM channel heap is byte-for-byte the object loop's.
 
@@ -91,7 +91,7 @@ class _Plan:
         self.queue = queue
         self.services = services
         self.input_loads = [svc.input_load_cycles for svc in services]
-        self.intervals = [getattr(svc, "interval_cycles", None) for svc in services]
+        self.intervals = [svc.interval_cycles for svc in services]
         self.num_groups = num_groups
         self.memory_channels = memory_channels
 
@@ -138,7 +138,7 @@ def plan_columnar(
             queue=queue,
             services=services,
             num_groups=cluster.num_groups,
-            memory_channels=getattr(cluster, "memory_channels", None),
+            memory_channels=cluster.memory_channels,
         ),
         None,
     )
@@ -214,10 +214,10 @@ def _run_columnar(plan: _Plan, ts, busy_cycles: dict[int, int], feed_stages) -> 
     q_heap = getattr(queue, "heap", None)
     queue_len = queue.__len__
     next_range = queue.next_range
-    # Any pipelined service in the mix?  Plain clusters skip the
-    # release-vs-finish bookkeeping with one bool test per dispatch
-    # (release always coincides with completion for a PlanService).
-    pipelined = any(iv is not None for iv in intervals)
+    # Any multi-stage service in the mix?  One-stage groups skip the
+    # release and backpressure bookkeeping with one bool test per dispatch:
+    # their release coincides with completion and the floor never binds.
+    pipelined = any(svc.stage_count > 1 for svc in services)
     # Per-model service time for the ubiquitous k=1 dispatch; larger
     # batches are memoized per (model, k) on first use.
     dur1 = [svc.batch_cycles(1) for svc in services]
@@ -332,35 +332,33 @@ def _run_columnar(plan: _Plan, ts, busy_cycles: dict[int, int], feed_stages) -> 
                     dur_memo[(m, k)] = duration
             finish = now + wait + duration
             busy = wait + duration
-            release = finish  # == now + busy for a plain PlanService
+            release = finish  # == now + busy for a one-stage group
             if pipelined:
-                interval = intervals[m]
-                if interval is not None:
-                    prev = last_finish.get(replica)
-                    if prev is not None and prev + k * interval > finish:
-                        delay = prev + k * interval - finish
-                        finish += delay
-                        if bp_count == 0:
-                            bp_min = bp_max = delay
-                        elif delay < bp_min:
-                            bp_min = delay
-                        elif delay > bp_max:
-                            bp_max = delay
-                        bp_count += 1
-                        bp_total += delay
-                    else:
-                        delay = 0
-                    occ = occ_memo.get((m, k))
-                    if occ is None:
-                        occ = services[m].occupancy_cycles(k)
-                        occ_memo[(m, k)] = occ
-                    busy = wait + occ + delay
-                    last_finish[replica] = finish
-                    release = now + busy
+                prev = last_finish.get(replica)
+                if prev is not None and prev + k * intervals[m] > finish:
+                    delay = prev + k * intervals[m] - finish
+                    finish += delay
+                    if bp_count == 0:
+                        bp_min = bp_max = delay
+                    elif delay < bp_min:
+                        bp_min = delay
+                    elif delay > bp_max:
+                        bp_max = delay
+                    bp_count += 1
+                    bp_total += delay
+                else:
+                    delay = 0
+                occ = occ_memo.get((m, k))
+                if occ is None:
+                    occ = services[m].occupancy_cycles(k)
+                    occ_memo[(m, k)] = occ
+                busy = wait + occ + delay
+                last_finish[replica] = finish
+                release = now + busy
             busy_l[replica] += busy
             if ts is not None:
                 ts.on_dispatch(now, replica, busy, k)
-                if pipelined and ts.stages and intervals[m] is not None:
+                if ts.stages:
                     feed_stages(ts, services[m], replica, now + wait, k)
             if release < finish:
                 heappush(heap, (release, seq, 2, replica))

@@ -14,7 +14,7 @@ policies can look up service times), :meth:`enqueue` on every arrival, and
 * :class:`BatchingScheduler` — FIFO, but dequeues up to ``max_batch``
   consecutive same-model requests at once; the batch pipelines its DRAM
   input loads behind compute, so only the first load is exposed
-  (:meth:`~repro.serve.cluster.PlanService.batch_cycles`).
+  (:meth:`~repro.mcm.service.PipelineService.batch_cycles`).
 
 Each policy additionally exposes an **index queue** (:meth:`Scheduler.index_queue`)
 — the same policy over plain request *ids* instead of ``Request`` objects,

@@ -1,19 +1,18 @@
 """The request-level discrete-event loop.
 
 Three event kinds drive the simulation: request **arrivals** (from the load
-generator), replica-group **releases** (a pipelined group's front drains and
+generator), replica-group **releases** (a group's front stage drains and
 can accept the next batch), and **completions** (every request of a batch
 finishes).  After every event the scheduler is drained onto free replica
-groups.  For a plain :class:`~repro.serve.cluster.PlanService` a batch
-occupies its group for ``batch_cycles`` and release coincides with
-completion — exactly the historical two-event loop, preserved bit-exactly.
-A :class:`~repro.mcm.service.PipelineService` (detected by its
-``interval_cycles`` attribute) instead frees its group after
-``occupancy_cycles`` — the pipeline front drains while the tail is still
-in flight — with a backpressure floor: a pipeline completes at most one
-request per steady-state interval, so a batch dispatched hot on the heels
-of its predecessor finishes no earlier than ``previous finish + k *
-interval`` (the extra wait is charged to the group as busy time).
+groups.  Every group runs a :class:`~repro.mcm.service.PipelineService`:
+a batch of ``k`` frees its group after ``occupancy_cycles(k)`` — the
+pipeline front drains while the tail is still in flight — and completes
+after ``batch_cycles(k)``, with a backpressure floor: a group completes at
+most one request per steady-state interval, so a batch dispatched hot on
+the heels of its predecessor finishes no earlier than ``previous finish +
+k * interval`` (the extra wait is charged to the group as busy time).  For
+a one-stage group release coincides with completion and the floor never
+binds, so the loop reduces to two events per batch.
 
 ``cluster.memory_channels`` (when set) serializes DRAM input streaming
 across co-resident groups: each dispatch claims the earliest-free of M
@@ -38,9 +37,10 @@ millions of requests, and the records themselves are the per-request truth.
 When time-series collection is on (:func:`repro.obs.timeseries_enabled`),
 the loop additionally feeds every arrival/dispatch/completion into a
 :class:`~repro.obs.timeseries.ServeTimeSeries` — including per-stage busy
-intervals for pipelined clusters (occupancy/bubble metrics, per-chip
-Perfetto tracks); when off, the cost is one ``is None`` branch per event
-and no series is built (``tests/obs/test_disabled_telemetry.py``).
+intervals for multi-stage clusters (occupancy/bubble metrics, per-chip
+Perfetto tracks; one-stage clusters export no stage keys); when off, the
+cost is one ``is None`` branch per event and no series is built
+(``tests/obs/test_disabled_telemetry.py``).
 """
 
 from __future__ import annotations
@@ -63,9 +63,6 @@ _ARRIVAL, _COMPLETION, _RELEASE = 0, 1, 2
 
 class ServeSimulator:
     """Run one (cluster, scheduler, workload) configuration to completion.
-
-    ``cluster`` is any object with the :class:`~repro.serve.cluster.Cluster`
-    surface — including :class:`~repro.serve.pipelined.PipelinedCluster`.
 
     ``slo`` only annotates telemetry: when a time-series is collected its
     violation counts and burn rates are computed against this target.  The
@@ -93,17 +90,6 @@ class ServeSimulator:
         self.fastpath = fastpath_mode(fastpath)
         scheduler.bind(cluster)
 
-    def _pipeline_stages(self) -> int:
-        """Stage count for telemetry: 0 when no service is pipelined."""
-        return max(
-            (
-                len(getattr(svc, "stage_cycles", ()))
-                for svc in self.cluster.services.values()
-                if getattr(svc, "interval_cycles", None) is not None
-            ),
-            default=0,
-        )
-
     def run(self) -> ServeResult:
         plan = None
         if self.fastpath != "off":
@@ -116,6 +102,7 @@ class ServeSimulator:
                 METRICS.inc("serve.fastpath.fallback", reason=reason)
         ts = None
         if timeseries_enabled():
+            stages = self.cluster.stages
             ts = start_series(
                 label=(
                     f"{self.cluster.scheme}/{self.scheduler.name} "
@@ -128,7 +115,7 @@ class ServeSimulator:
                     "scheduler": self.scheduler.name,
                     "group_cores": self.cluster.group_cores,
                 },
-                stages=self._pipeline_stages(),
+                stages=stages if stages > 1 else 0,
             )
         with span(
             "serve.run",
@@ -180,10 +167,10 @@ class ServeSimulator:
 
         # M shared DRAM channels (next-free cycle each), or None for the
         # historical one-independent-channel-per-group model.
-        mem = getattr(self.cluster, "memory_channels", None)
+        mem = self.cluster.memory_channels
         channels: list[int] | None = [0] * mem if mem else None
-        # Per-replica last batch finish: the backpressure floor for
-        # pipelined groups (a pipeline emits one completion per interval).
+        # Per-replica last batch finish: the backpressure floor (a group
+        # emits at most one completion per interval).
         last_finish: dict[int, int] = {}
 
         def push(cycle: int, kind: int, payload: object) -> None:
@@ -198,7 +185,6 @@ class ServeSimulator:
                     break
                 service = get_service(batch[0].model)
                 k = len(batch)
-                duration = service.batch_cycles(k)
                 wait = 0
                 if channels is not None and service.input_load_cycles > 0:
                     channel_free = heappop(channels)
@@ -208,26 +194,24 @@ class ServeSimulator:
                     if wait:
                         observe("serve.memory_channel.wait_cycles", wait)
                 replica = heappop(free)
-                finish = now + wait + duration
-                busy = wait + duration
-                interval = getattr(service, "interval_cycles", None)
-                if interval is not None:
-                    prev = last_finish.get(replica)
-                    if prev is not None and prev + k * interval > finish:
-                        delay = prev + k * interval - finish
-                        finish += delay
-                        observe("serve.pipeline.backpressure_cycles", delay)
-                    else:
-                        delay = 0
-                    busy = wait + service.occupancy_cycles(k) + delay
-                    last_finish[replica] = finish
+                finish = now + wait + service.batch_cycles(k)
+                interval = service.interval_cycles
+                prev = last_finish.get(replica)
+                if prev is not None and prev + k * interval > finish:
+                    delay = prev + k * interval - finish
+                    finish += delay
+                    observe("serve.pipeline.backpressure_cycles", delay)
+                else:
+                    delay = 0
+                busy = wait + service.occupancy_cycles(k) + delay
+                last_finish[replica] = finish
                 release = now + busy
                 busy_cycles[replica] += busy
                 inc("serve.dispatches")
                 observe("serve.batch_size", k)
                 if ts is not None:
                     ts.on_dispatch(now, replica, busy, k)
-                    if interval is not None and ts.stages:
+                    if ts.stages:
                         self._feed_stage_intervals(ts, service, replica, now + wait, k)
                 if release < finish:
                     push(release, _RELEASE, replica)

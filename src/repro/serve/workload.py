@@ -345,10 +345,6 @@ class ClosedLoopWorkload(LoadGenerator):
         self._issued: dict[int, int] = {}
         self._next_rid = 0
 
-    @property
-    def total_requests(self) -> int:
-        return self.clients * self.requests_per_client
-
     def _issue(self, client: int, arrival: int) -> Request:
         rid = self._next_rid
         self._next_rid += 1

@@ -2,14 +2,10 @@
 
 from .engine import InferenceSimulator, SimConfig
 from .results import LayerTimeline, SimulationResult
-from .throughput import DeploymentComparison, compare_deployments, single_core_latency
 
 __all__ = [
     "InferenceSimulator",
     "SimConfig",
     "LayerTimeline",
     "SimulationResult",
-    "DeploymentComparison",
-    "compare_deployments",
-    "single_core_latency",
 ]

@@ -22,7 +22,6 @@ class TestAcceleratorConfig:
         cfg = AcceleratorConfig()
         assert cfg.pe_rows == 16 and cfg.pe_cols == 16
         assert cfg.macs_per_cycle == 256
-        assert cfg.weight_buffer_bytes == 128 * 1024
         assert cfg.value_bytes == 2
 
     def test_validation(self):

@@ -155,10 +155,12 @@ class TestRenderTimeseries:
         text = render_timeseries(s.to_dict())
         assert "no windows" in text
 
-    def test_table_caps_rows(self):
+    def test_table_caps_rows(self, monkeypatch):
+        from repro.obs import timeseries
         from repro.obs.timeseries import ServeTimeSeries
 
-        s = ServeTimeSeries("long", groups=1, window_cycles=10, max_windows=64)
+        monkeypatch.setattr(timeseries, "MAX_WINDOWS", 64)
+        s = ServeTimeSeries("long", groups=1, window_cycles=10)
         for i in range(40):
             s.on_arrival(i * 10)
             s.on_dispatch(i * 10, 0, 5, 1)

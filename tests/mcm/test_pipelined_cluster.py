@@ -1,12 +1,12 @@
-"""PipelinedCluster surface and the pipelined event-loop semantics."""
+"""Multi-stage replica groups: the Cluster surface and the pipelined event loop."""
 
 import pytest
 
-from repro.mcm import McmTopology, PipelineService
+from repro.mcm import PipelineService
 from repro.models import lenet_spec
 from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
 from repro.obs.metrics import percentile
-from repro.serve import PipelinedCluster, build_mcm_cluster
+from repro.serve import Cluster, build_mcm_cluster
 from repro.serve.scheduler import BatchingScheduler, FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator
 from repro.serve.workload import LoadGenerator, PoissonWorkload, Request
@@ -34,8 +34,8 @@ def _hand_cluster(pipelines=1, stage_cycles=(50, 100), transfers=(0, 10), input_
         transfer_cycles=tuple(transfers),
         input_load_cycles=input_load,
     )
-    topo = McmTopology.build(len(stage_cycles), cores_per_chip=1)
-    return PipelinedCluster(topology=topo, pipelines=pipelines, services={"m": svc})
+    chips = len(stage_cycles)
+    return Cluster(total_cores=pipelines * chips, group_cores=chips, services={"m": svc})
 
 
 class TestClusterSurface:
@@ -43,11 +43,12 @@ class TestClusterSurface:
         cluster = _hand_cluster(pipelines=3)
         assert cluster.num_groups == 3
         assert cluster.stages == 2
-        assert cluster.num_chips == 6
         assert cluster.group_cores == 2
         assert cluster.total_cores == 6
 
     def test_latency_and_capacity(self):
+        """The 110-cycle interval outlasts the 70-cycle front, so it sets
+        the rate."""
         cluster = _hand_cluster(pipelines=2)
         assert cluster.unloaded_latency("m") == 180
         assert cluster.capacity_per_megacycle("m") == pytest.approx(2e6 / 110)
@@ -60,32 +61,30 @@ class TestClusterSurface:
         assert "1 x 2-chip pipelines" in _hand_cluster().describe()
 
     def test_validation_rejects_mismatched_service(self):
-        topo = McmTopology.build(4, cores_per_chip=1)
-        svc = _hand_cluster().services["m"]  # 2 chips
-        with pytest.raises(ValueError, match="spans 2 chips"):
-            PipelinedCluster(topology=topo, pipelines=1, services={"m": svc})
+        svc = _hand_cluster().services["m"]  # 2 one-core chips
+        with pytest.raises(ValueError, match="simulated for 2 cores"):
+            Cluster(total_cores=4, group_cores=4, services={"m": svc})
 
     def test_validation_rejects_bad_counts(self):
-        topo = McmTopology.build(2, cores_per_chip=1)
         svc = _hand_cluster().services["m"]
-        with pytest.raises(ValueError, match="pipelines"):
-            PipelinedCluster(topology=topo, pipelines=0, services={"m": svc})
+        with pytest.raises(ValueError, match="core counts"):
+            Cluster(total_cores=0, group_cores=2, services={"m": svc})
         with pytest.raises(ValueError, match="memory_channels"):
-            PipelinedCluster(
-                topology=topo, pipelines=1, services={"m": svc}, memory_channels=0
-            )
+            Cluster(total_cores=2, group_cores=2, services={"m": svc}, memory_channels=0)
 
 
 class TestBuildMcmCluster:
     def test_stage_default_is_one_package_pipeline(self):
         cluster = build_mcm_cluster(lenet_spec(), 4, cores_per_chip=2)
         assert cluster.stages == 4
-        assert cluster.pipelines == 1
+        assert cluster.num_groups == 1
+        assert cluster.plans["lenet"].topology.num_chips == 4
 
     def test_stages_carve_pipelines(self):
         cluster = build_mcm_cluster(lenet_spec(), 4, cores_per_chip=2, stages=2)
         assert cluster.stages == 2
-        assert cluster.pipelines == 2
+        assert cluster.num_groups == 2
+        assert (cluster.group_cores, cluster.total_cores) == (4, 8)
 
     def test_bad_tilings_rejected(self):
         with pytest.raises(ValueError, match="does not tile"):

@@ -117,14 +117,6 @@ class TestCoreBlockPartitionDense:
         with pytest.raises(ValueError):
             self.make().apply_block_mask(rng.normal(size=(8, 12)), np.ones((3, 3), bool))
 
-    def test_summarize(self, rng):
-        part = self.make()
-        w = rng.normal(size=(8, 12))
-        part.apply_block_mask(w, np.eye(4, dtype=bool))
-        summary = part.summarize(w)
-        assert np.isclose(summary.zero_fraction, 12 / 16)
-        assert np.isclose(summary.offdiag_zero_fraction, 1.0)
-
     def test_shape_check(self, rng):
         with pytest.raises(ValueError):
             self.make().block_norms(rng.normal(size=(9, 12)))

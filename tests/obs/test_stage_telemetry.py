@@ -25,7 +25,7 @@ class TestStageSeriesKeys:
         # Every interval is (start, end, replica, stage) within bounds.
         for start, end, replica, stage in record["stage_intervals"]:
             assert 0 <= start < end
-            assert 0 <= replica < cluster.pipelines
+            assert 0 <= replica < cluster.num_groups
             assert 0 <= stage < 2
 
         cumulative = record["cumulative"]

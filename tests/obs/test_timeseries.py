@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import timeseries
 from repro.obs.metrics import percentile
 from repro.obs.timeseries import (
     Reservoir,
@@ -96,11 +97,12 @@ class TestWindowing:
         assert d["cumulative"]["arrivals"] == 3
         assert d["cumulative"]["requests"] == 3
 
-    def test_zero_width_window_rejected(self):
+    def test_zero_width_window_rejected(self, monkeypatch):
         with pytest.raises(ValueError, match="window_cycles"):
             ServeTimeSeries("t", groups=1, window_cycles=0)
-        with pytest.raises(ValueError, match="max_windows"):
-            ServeTimeSeries("t", groups=1, max_windows=3)
+        monkeypatch.setattr(timeseries, "MAX_WINDOWS", 3)
+        with pytest.raises(ValueError, match="MAX_WINDOWS"):
+            ServeTimeSeries("t", groups=1)
 
     def test_busy_cycles_split_across_windows(self):
         s = ServeTimeSeries("t", groups=1, window_cycles=100)
@@ -114,8 +116,9 @@ class TestWindowing:
         assert [w["busy_cycles"].get("0", 0) for w in ws] == [50, 100, 50]
         assert [w["utilization"] for w in ws] == [0.5, 1.0, 0.5]
 
-    def test_coalescing_keeps_full_coverage(self):
-        s = ServeTimeSeries("t", groups=1, window_cycles=10, max_windows=4)
+    def test_coalescing_keeps_full_coverage(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "MAX_WINDOWS", 4)
+        s = ServeTimeSeries("t", groups=1, window_cycles=10)
         requests = [(i * 10, i * 10, i * 10 + 5, 0) for i in range(32)]
         _feed(s, requests)
         d = s.to_dict()
@@ -129,8 +132,9 @@ class TestWindowing:
         assert sum(w["completions"] for w in d["windows"]) == 32
         assert sum(w["arrivals"] for w in d["windows"]) == 32
 
-    def test_huge_cycle_jump_is_bounded(self):
-        s = ServeTimeSeries("t", groups=1, window_cycles=1, max_windows=4)
+    def test_huge_cycle_jump_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "MAX_WINDOWS", 4)
+        s = ServeTimeSeries("t", groups=1, window_cycles=1)
         s.on_arrival(0)
         s.on_dispatch(0, 0, 10, 1)
         s.on_completion(0, 0, 0, 10, 0, 1)
@@ -151,11 +155,10 @@ class TestWindowing:
         assert cum["utilization"] == 0.0
         assert cum["p99"] == 0
 
-    def test_small_reservoir_still_counts_everything(self):
-        s = ServeTimeSeries(
-            "t", groups=1, window_cycles=10_000,
-            window_reservoir=8, cumulative_reservoir=8,
-        )
+    def test_small_reservoir_still_counts_everything(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "WINDOW_RESERVOIR", 8)
+        monkeypatch.setattr(timeseries, "CUMULATIVE_RESERVOIR", 8)
+        s = ServeTimeSeries("t", groups=1, window_cycles=10_000)
         requests = [(i, i, i + 1 + i % 7, 0) for i in range(100)]
         _feed(s, requests)
         d = s.to_dict()
@@ -169,18 +172,18 @@ class TestWindowing:
         observed = {1 + i % 7 for i in range(100)}
         assert w["p99"] in observed and cum["p99"] in observed
 
-    def test_request_cap_drops_tail(self):
-        s = ServeTimeSeries("t", groups=1, window_cycles=100, request_cap=3)
+    def test_request_cap_drops_tail(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "REQUEST_CAP", 3)
+        s = ServeTimeSeries("t", groups=1, window_cycles=100)
         _feed(s, [(i, i, i + 1, 0) for i in range(5)])
         d = s.to_dict()
         assert d["requests_recorded"] == 3
         assert d["requests_dropped"] == 2
         assert d["cumulative"]["requests"] == 5
 
-    def test_slo_burn_rate(self):
-        s = ServeTimeSeries(
-            "t", groups=1, window_cycles=1000, slo_cycles=10, slo_budget=0.1
-        )
+    def test_slo_burn_rate(self, monkeypatch):
+        monkeypatch.setattr(timeseries, "SLO_BUDGET", 0.1)
+        s = ServeTimeSeries("t", groups=1, window_cycles=1000, slo_cycles=10)
         # 4 requests, 2 violate (latency 20 > 10): rate 0.5, burn 5.0.
         _feed(s, [(0, 0, 5, 0), (1, 1, 21, 0), (2, 2, 22, 0), (3, 3, 9, 0)])
         d = s.to_dict()

@@ -34,9 +34,8 @@ from repro.obs import (
 )
 from repro.obs.metrics import percentile
 from repro.obs.timeseries import global_timeseries
-from repro.serve import build_spec_cluster
+from repro.serve import build_mcm_cluster, build_spec_cluster
 from repro.serve.fastpath import fastpath_mode, plan_columnar
-from repro.serve.pipelined import build_mcm_cluster
 from repro.serve.scheduler import FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator, simulate_serving
 from repro.serve.slo import SLO, evaluate_slo

@@ -3,10 +3,12 @@
 import pytest
 
 from repro.models import lenet_spec
-from repro.serve.cluster import Cluster, PlanService, build_spec_cluster
+from repro.serve.cluster import Cluster, build_spec_cluster
 from repro.serve.scheduler import FIFOScheduler
 from repro.serve.simulator import ServeSimulator
 from repro.serve.workload import LoadGenerator, PoissonWorkload, Request
+
+from .services import one_stage
 
 
 class FixedWorkload(LoadGenerator):
@@ -20,13 +22,7 @@ class FixedWorkload(LoadGenerator):
 
 
 def _cluster(memory_channels=None, total=8, group=4, latency=1000, input_load=200):
-    svc = PlanService(
-        model="m",
-        scheme="traditional",
-        cores=group,
-        latency_cycles=latency,
-        input_load_cycles=input_load,
-    )
+    svc = one_stage("m", group, latency, input_load)
     return Cluster(
         total_cores=total,
         group_cores=group,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.cluster import Cluster, PlanService
+from repro.serve.cluster import Cluster
 from repro.serve.scheduler import (
     BatchingScheduler,
     FIFOScheduler,
@@ -12,10 +12,12 @@ from repro.serve.scheduler import (
 )
 from repro.serve.workload import Request
 
+from .services import one_stage
+
 
 def _cluster(latencies: dict[str, int]) -> Cluster:
     services = {
-        name: PlanService(name, "traditional", 4, latency_cycles=lat, input_load_cycles=0)
+        name: one_stage(name, 4, lat)
         for name, lat in latencies.items()
     }
     return Cluster(total_cores=4, group_cores=4, services=services)

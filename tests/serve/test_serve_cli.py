@@ -65,6 +65,44 @@ class TestSingleRun:
         with pytest.raises(SystemExit):
             main(["--cores", "16", "--group-cores", "3"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--cores", "0"],
+            ["--cores", "8", "--group-cores", "0"],
+            ["--cores", "8", "--group-cores", "-4"],
+            ["--chips", "4", "--stages", "0"],
+        ],
+        ids=["cores-0", "group-cores-0", "group-cores-neg", "stages-0"],
+    )
+    def test_rejects_nonpositive_geometry(self, flags, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--requests", "5", *flags])
+        assert exc.value.code == 2
+        assert f"{flags[-2]} must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload, flag",
+        [
+            ("poisson", ["--clients", "3"]),
+            ("poisson", ["--think", "7"]),
+            ("poisson", ["--burst-rate", "9"]),
+            ("closed", ["--burst-rate", "9"]),
+            ("mmpp", ["--clients", "3"]),
+            ("closed", ["--rate", "5"]),
+        ],
+        ids=["clients", "think", "burst_rate", "burst_rate-closed", "clients-mmpp",
+             "rate-closed"],
+    )
+    def test_single_run_rejects_flag_its_workload_never_reads(self, workload, flag, capsys):
+        """A Poisson run printed the same output with --clients 3 --think 7
+        --burst-rate 9 as without them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--network", "lenet", "--cores", "4", "--requests", "5",
+                  "--workload", workload, *flag])
+        assert exc.value.code == 2
+        assert f"{flag[0]} requires --workload" in capsys.readouterr().err
+
     def test_group_cores_defaults_to_cores(self, capsys):
         """Without --group-cores the chip is one model-parallel group."""
         assert main(

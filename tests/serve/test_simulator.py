@@ -9,11 +9,13 @@ import pytest
 from repro.models import lenet_spec
 from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
 from repro.obs.metrics import percentile
-from repro.serve.cluster import Cluster, PlanService, build_spec_cluster
+from repro.serve.cluster import Cluster, build_spec_cluster
 from repro.serve.scheduler import BatchingScheduler, FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator, simulate_serving
 from repro.serve.slo import SLO
 from repro.serve.workload import ClosedLoopWorkload, LoadGenerator, PoissonWorkload, Request
+
+from .services import one_stage
 
 
 class FixedWorkload(LoadGenerator):
@@ -29,10 +31,7 @@ class FixedWorkload(LoadGenerator):
 
 
 def _cluster(total=4, group=4, latency=1000, input_load=200, model="m"):
-    svc = PlanService(
-        model, "traditional", group,
-        latency_cycles=latency, input_load_cycles=input_load,
-    )
+    svc = one_stage(model, group, latency, input_load)
     return Cluster(total_cores=total, group_cores=group, services={model: svc})
 
 
