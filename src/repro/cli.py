@@ -15,7 +15,8 @@ paths and why each serial fallback happened.  Workers share the artifact
 cache under single-flight claims, so nothing trains twice; rendered tables
 are byte-identical to a ``--workers 1`` run.
 
-Observability flags:
+Observability flags (shared with ``repro-serve``: :func:`add_telemetry_flags`
+and :func:`telemetry`):
 
 ``--trace out.jsonl``
     Enable span tracing, per-link NoC profiling, *and* serve time-series
@@ -28,7 +29,7 @@ Observability flags:
     directly in https://ui.perfetto.dev.
 ``--metrics``
     Print the metrics-registry snapshot (drain-memo and artifact-cache hit
-    rates, NoC flit counters, training losses) after the experiments finish.
+    rates, NoC flit counters, training losses) after the run.
 
 Every run ends with a one-line artifact-cache summary (hits/misses, memo
 hits, single-flight lock activity).
@@ -39,13 +40,22 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 from . import obs
 from .experiments import EXPERIMENTS, get_profile
 from .experiments.cache import cache_summary
 from .experiments.runner import run_one
 
-__all__ = ["main", "serve_main", "add_workers_flag", "apply_workers"]
+__all__ = [
+    "main",
+    "serve_main",
+    "add_workers_flag",
+    "apply_workers",
+    "add_telemetry_flags",
+    "telemetry",
+]
 
 
 def add_workers_flag(parser: argparse.ArgumentParser) -> None:
@@ -64,6 +74,57 @@ def apply_workers(workers: int | None) -> int | None:
     if workers is not None and workers < 1:
         raise SystemExit(f"--workers must be >= 1, got {workers}")
     return workers
+
+
+def add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
+    """The shared ``--trace``, ``--perfetto`` and ``--metrics`` options."""
+    parser.add_argument(
+        "--trace",
+        metavar="PATH",
+        default=None,
+        help="write a JSONL trace (spans + metrics + serve time-series + "
+        "NoC link profiles) to PATH",
+    )
+    parser.add_argument(
+        "--perfetto",
+        metavar="PATH",
+        default=None,
+        help="write a Chrome trace-event file for ui.perfetto.dev to PATH",
+    )
+    parser.add_argument(
+        "--metrics",
+        action="store_true",
+        help="print the metrics snapshot after the run",
+    )
+
+
+@contextmanager
+def telemetry(args: argparse.Namespace, window_cycles: int | None = None) -> Iterator[None]:
+    """Collect what ``--trace`` / ``--perfetto`` ask for around a run.
+
+    Turns on span tracing, NoC profiling and serve time series (windows of
+    ``window_cycles``), then writes the requested files and turns all three
+    off again, even when the run raises.
+    """
+    traced = bool(args.trace or args.perfetto)
+    if traced:
+        obs.enable_tracing()
+        obs.enable_noc_profiling()
+        obs.enable_timeseries(window_cycles=window_cycles)
+    try:
+        yield
+    finally:
+        if traced:
+            if args.trace:
+                path = obs.export_trace(args.trace)
+                print(f"[trace written to {path}]")
+            if args.perfetto:
+                path = obs.export_perfetto(args.perfetto)
+                print(f"[perfetto trace written to {path}]")
+            obs.disable_tracing()
+            obs.disable_noc_profiling()
+            obs.disable_timeseries()
+            obs.clear_timeseries()
 
 
 def serve_main(argv: list[str] | None = None) -> int:
@@ -94,24 +155,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("paper", "fast"),
         help="training effort profile (fast = smoke-test sizes)",
     )
-    parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="write a JSONL trace (spans + metrics + serve time-series + "
-        "NoC link profiles) to PATH",
-    )
-    parser.add_argument(
-        "--perfetto",
-        metavar="PATH",
-        default=None,
-        help="write a Chrome trace-event file for ui.perfetto.dev to PATH",
-    )
-    parser.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print the metrics snapshot after the experiments finish",
-    )
+    add_telemetry_flags(parser)
     add_workers_flag(parser)
     args = parser.parse_args(argv)
     profile = get_profile(args.profile)
@@ -121,31 +165,13 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown experiments: {unknown}; known: {list(EXPERIMENTS)}")
 
-    traced = bool(args.trace or args.perfetto)
-    if traced:
-        obs.enable_tracing()
-        obs.enable_noc_profiling()
-        obs.enable_timeseries()
-
-    try:
+    with telemetry(args):
         for name in args.experiments:
             start = time.time()
             table = run_one(name, profile, workers=workers)
             elapsed = time.time() - start
             print(table)
             print(f"[{name} finished in {elapsed:.1f}s]\n")
-    finally:
-        if traced:
-            if args.trace:
-                path = obs.export_trace(args.trace)
-                print(f"[trace written to {path}]")
-            if args.perfetto:
-                path = obs.export_perfetto(args.perfetto)
-                print(f"[perfetto trace written to {path}]")
-            obs.disable_tracing()
-            obs.disable_noc_profiling()
-            obs.disable_timeseries()
-            obs.clear_timeseries()
 
     print(cache_summary())
     if args.metrics:

@@ -43,7 +43,7 @@ from ..obs import METRICS
 from ..parallel import pmap
 from ..partition.plan import ModelParallelPlan
 from ..partition.sparsified import build_sparsified_plan
-from ..sim.engine import InferenceSimulator, SimConfig
+from ..sim.engine import InferenceSimulator
 from ..sim.results import SimulationResult
 from ..train.sparsify import SparsifyConfig, train_sparsified
 from ..train.trainer import Trainer, train_settings
@@ -196,9 +196,9 @@ class SchemeOutcome:
     result: SimulationResult
 
 
-def simulator_for(num_cores: int, sim_config: SimConfig | None = None) -> InferenceSimulator:
+def simulator_for(num_cores: int) -> InferenceSimulator:
     """Table II chip + engine for a core count."""
-    return InferenceSimulator(ChipConfig.table2(num_cores), sim_config)
+    return InferenceSimulator(ChipConfig.table2(num_cores))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from ..parallel import pmap
 from ..partition import build_traditional_plan
 from ..plancost import calibrate
 from ..search import search_layer_degrees, search_stage_split
-from ..sim.engine import InferenceSimulator, SimConfig
+from ..sim.engine import InferenceSimulator
 from .config import ExperimentProfile, PAPER
 
 __all__ = [
@@ -122,7 +122,7 @@ def _run_degree(name: str, num_cores: int, k: int, seed: int) -> DegreeSearchRow
     """Search, then measure both the searched and the traditional plan."""
     spec = get_spec(name)
     result = search_layer_degrees(spec, num_cores)
-    sim = InferenceSimulator(ChipConfig.table2(num_cores), SimConfig())
+    sim = InferenceSimulator(ChipConfig.table2(num_cores))
     searched = sim.simulate(result.plan).total_cycles
     traditional = sim.simulate(build_traditional_plan(spec, num_cores)).total_cycles
     report = calibrate(spec, num_cores, k=k, seed=seed)

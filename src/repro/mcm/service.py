@@ -19,17 +19,17 @@ multi-stage case (:func:`mcm_service`):
   and only the input load is amortized across a batch.
 
 Per-stage compute comes from the single-chip cycle engine via
-``service_for_plan`` (memoized): stage 0 keeps its DRAM input load, later
-stages drop it — their input arrives over the inter-chip link, charged
+``service_for_plan`` (memoized): each stage is its service's
+``body_cycles``.  Stage 0's DRAM input load stays the pipeline's input load;
+later stages' input arrives over the inter-chip link instead, charged
 separately by :meth:`McmPipelinePlan.inbound_transfer_cycles`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
-from ..sim.engine import SimConfig
 from .pipeline import McmPipelinePlan
 
 __all__ = ["PipelineService", "mcm_service"]
@@ -113,32 +113,23 @@ class PipelineService:
         )
 
 
-def mcm_service(
-    plan: McmPipelinePlan,
-    sim_config: SimConfig | None = None,
-    model: str | None = None,
-) -> PipelineService:
+def mcm_service(plan: McmPipelinePlan, model: str | None = None) -> PipelineService:
     """Simulate each stage once (memoized) and assemble the pipeline profile."""
     # Lazy: repro.serve imports repro.mcm at module scope, not vice versa.
     from ..serve.cluster import service_for_plan
 
     if plan.occupied_stages == 0:
         raise ValueError(f"plan {plan.name!r} has no occupied stages")
-    cfg = sim_config or SimConfig()
-    body_cfg = replace(cfg, include_input_load=False)
     stage_cycles = []
     input_load = 0
     for stage in plan.stages:
         if stage.plan is None:
             stage_cycles.append(0)
             continue
+        svc = service_for_plan(stage.plan, model=stage.plan.name)
+        stage_cycles.append(svc.body_cycles)
         if stage.index == 0:
-            svc = service_for_plan(stage.plan, sim_config=cfg, model=stage.plan.name)
             input_load = svc.input_load_cycles
-            stage_cycles.append(svc.body_cycles)
-        else:
-            svc = service_for_plan(stage.plan, sim_config=body_cfg, model=stage.plan.name)
-            stage_cycles.append(svc.latency_cycles)
     return PipelineService(
         model=model or plan.name,
         scheme=plan.scheme,

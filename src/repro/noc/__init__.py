@@ -2,7 +2,7 @@
 
 The BookSim2 + DSENT stand-in: wormhole routers with virtual channels and
 credit flow control, dimension-ordered routing, burst traffic traces, and a
-fast analytical model for full-scale traffic.
+closed-form drain estimate (the plan search's cost model).
 """
 
 from .analytical import AnalyticalEstimate, estimate_drain_cycles, link_loads

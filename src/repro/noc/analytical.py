@@ -19,8 +19,10 @@ The estimate is ``max(source, sink, link) + head``.  It is a first-order
 drains run a small factor above it), while at very low load the additive
 head term can overshoot slightly because head latency overlaps with other
 flows' drains.  Tests verify the cycle-level simulator stays within a small
-factor of it, and the simulation engine uses the analytical model when the
-traffic volume exceeds a configurable cycle budget.
+factor of it.  The plan-cost oracle and the stage search cost candidates
+with it (:mod:`repro.plancost`); the simulation engine reads only its head
+latency, to extrapolate a scaled-cycle drain of a burst above its flit
+budget (:mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations

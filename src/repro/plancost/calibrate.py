@@ -31,7 +31,7 @@ import numpy as np
 from ..accel.chip import ChipConfig
 from ..models.spec import NetworkSpec
 from ..partition.degree import build_degree_plan
-from ..sim.engine import InferenceSimulator, SimConfig
+from ..sim.engine import InferenceSimulator
 from .oracle import PlanCostOracle
 
 __all__ = [
@@ -147,19 +147,16 @@ def calibrate(
     seed: int = 0,
     degrees: tuple[int, ...] | None = None,
     chip: ChipConfig | None = None,
-    sim_config: SimConfig | None = None,
 ) -> CalibrationReport:
     """Sample K configs through oracle and engine; report ratio + rank corr.
 
-    The engine runs in its default ``auto`` comm mode (cycle-exact below the
-    flit budget, scaled-cycle above) with the persistent drain memo on, so
-    repeated calibrations of the same (model, mesh) are disk-cache hits —
-    and every cycle drain leaves its analytical twin in the memo
-    (:func:`~repro.sim.engine.memoized_drain_estimate`).
+    The engine drains cycle-exact below its flit budget and scaled-cycle
+    above, through the persistent drain memo, so repeated calibrations of
+    the same (model, mesh) are disk-cache hits.
     """
     oracle = PlanCostOracle(spec, num_cores, degrees=degrees, chip=chip)
     configs = sample_degree_configs(oracle, k, seed=seed)
-    sim = InferenceSimulator(oracle.chip, sim_config or SimConfig())
+    sim = InferenceSimulator(oracle.chip)
     samples = []
     for cfg in configs:
         analytic = oracle.cost(cfg)

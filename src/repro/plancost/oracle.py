@@ -26,11 +26,13 @@ Degrees a layer cannot take (group alignment) cost ``inf``, so searches
 avoid them for free.
 
 Since both tables come from the degree builder's own rules, the oracle is
-*exact* with respect to the engine's analytical mode by construction: for
-any valid config, ``cost(config)`` equals
-``InferenceSimulator(chip, SimConfig(comm_mode="analytical")).simulate(
-build_degree_plan(spec, num_cores, config)).total_cycles`` — property-tested
-in ``tests/plancost/``.  The gap to *cycle-exact* engine results is what
+*exact* with respect to the scalar analytic model by construction: for any
+valid config, ``cost(config)`` equals the input load plus, for each layer of
+``build_degree_plan(spec, num_cores, config)``, its busiest core's
+``CoreModel.compute_cycles`` plus its burst's
+:func:`~repro.noc.analytical.estimate_drain_cycles` times the core/NoC clock
+divider — property-tested in ``tests/plancost/`` against a scalar
+reference.  The gap to the engine's cycle-level drains is what
 :mod:`repro.plancost.calibrate` measures.
 """
 
@@ -71,7 +73,6 @@ class PlanCostOracle:
         num_cores: int = 16,
         degrees: tuple[int, ...] | None = None,
         chip: ChipConfig | None = None,
-        include_input_load: bool = True,
     ) -> None:
         self.chip = chip or ChipConfig.table2(num_cores)
         if self.chip.num_cores != num_cores:
@@ -93,11 +94,7 @@ class PlanCostOracle:
                 f"degrees {self.degrees} outside 1..{num_cores}"
             )
         self._index = {d: i for i, d in enumerate(self.degrees)}
-        self.input_load = (
-            input_load_cycles(self.chip, self.layers[0].in_shape)
-            if include_input_load
-            else 0
-        )
+        self.input_load = input_load_cycles(self.chip, self.layers[0].in_shape)
         self._drain = BatchedDrainModel(self.chip.mesh, self.chip.noc)
         self._build_tables()
 
@@ -199,24 +196,16 @@ class PlanCostOracle:
         return float(self.batch_cost(self.to_indices(config)[None, :])[0])
 
 
-def analytic_plan_cost(
-    plan: ModelParallelPlan,
-    chip: ChipConfig | None = None,
-    include_input_load: bool = True,
-) -> int:
+def analytic_plan_cost(plan: ModelParallelPlan, chip: ChipConfig | None = None) -> int:
     """Analytic latency of an *existing* plan, batched over its layers.
 
-    Matches ``InferenceSimulator(chip, SimConfig(comm_mode="analytical"))``
-    exactly: the sum of :func:`analytic_layer_cycles` plus the shared input
-    load.
+    The input load plus the sum of :func:`analytic_layer_cycles`: the
+    engine's latency model with every drain replaced by its closed-form
+    estimate.
     """
     chip = chip or ChipConfig.table2(plan.num_cores)
     body = int(analytic_layer_cycles(plan, chip).sum())
-    load = (
-        input_load_cycles(chip, plan.layers[0].layer.in_shape)
-        if include_input_load and plan.layers
-        else 0
-    )
+    load = input_load_cycles(chip, plan.layers[0].layer.in_shape) if plan.layers else 0
     return load + body
 
 

@@ -43,7 +43,6 @@ from ..mcm.service import PipelineService, mcm_service
 from ..mcm.topology import McmTopology
 from ..models.spec import LayerSpec, NetworkSpec
 from ..plancost.oracle import analytic_layer_cycles
-from ..sim.engine import SimConfig
 
 __all__ = ["StageSearchResult", "dp_stage_split", "search_stage_split"]
 
@@ -164,7 +163,6 @@ def search_stage_split(
     spec: NetworkSpec,
     topology: McmTopology,
     scheme: str = "traditional",
-    sim_config: SimConfig | None = None,
 ) -> StageSearchResult:
     """Best exact-measured stage split: DP proposals raced against balanced.
 
@@ -192,7 +190,7 @@ def search_stage_split(
         split: list[list[LayerSpec]],
     ) -> tuple[McmPipelinePlan, PipelineService]:
         plan = build_mcm_plan(spec, topology, scheme, split=split)
-        return plan, mcm_service(plan, sim_config=sim_config)
+        return plan, mcm_service(plan)
 
     best_plan, best_svc = measure(balanced)
     balanced_interval = best_svc.interval_cycles

@@ -34,7 +34,7 @@ import argparse
 import sys
 
 from .. import obs
-from ..cli import add_workers_flag, apply_workers
+from ..cli import add_telemetry_flags, add_workers_flag, apply_workers, telemetry
 from ..models.zoo import SPEC_BUILDERS, get_spec
 from .cluster import build_mcm_cluster, build_spec_cluster
 from .scheduler import SCHEDULERS, make_scheduler
@@ -73,6 +73,13 @@ _WORKLOAD_FLAGS = {
 #: Sweep-only flags and their defaults.  A single run is one simulation:
 #: it has no size profile and nothing to shard across workers.
 _SWEEP_DEFAULTS = {"profile": "paper", "workers": None}
+
+#: Count and rate flags that must be positive when given: counts >= 1,
+#: rates, times and factors > 0.
+_POSITIVE_FLAGS = (
+    "cores", "group_cores", "chips", "stages", "memory_channels", "requests",
+    "clients", "batch_size", "ts_window", "rate", "burst_rate", "think", "slo_factor",
+)
 
 #: The --interchip-* overrides (multi-chip runs only).
 _INTERCHIP_FLAGS = {
@@ -143,8 +150,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scheduler", default="fifo", choices=SCHEDULERS, help="dispatch policy"
     )
     parser.add_argument(
-        "--batch-size", type=int, default=4,
-        help="max batch size for --scheduler batch",
+        "--batch-size", type=int, default=None,
+        help="max batch size (default: 4; --scheduler batch only)",
     )
     parser.add_argument(
         "--workload", default=None, choices=("poisson", "mmpp", "closed"),
@@ -198,23 +205,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--profile", default=None, choices=("paper", "fast"),
         help="sweep size profile (default: paper; --sweep only)",
     )
-    parser.add_argument(
-        "--trace", metavar="PATH", default=None,
-        help="write a JSONL trace (spans + metrics + time-series + NoC "
-        "profiles) to PATH",
-    )
-    parser.add_argument(
-        "--perfetto", metavar="PATH", default=None,
-        help="write a Chrome trace-event file for ui.perfetto.dev to PATH",
-    )
+    add_telemetry_flags(parser)
     parser.add_argument(
         "--ts-window", type=int, default=None, metavar="CYCLES",
         help="time-series window width in sim cycles (default: auto; needs "
         "--trace or --perfetto)",
-    )
-    parser.add_argument(
-        "--metrics", action="store_true",
-        help="print the metrics snapshot after the run",
     )
     add_workers_flag(parser)
     return parser
@@ -354,10 +349,18 @@ def _run_sweep(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    for dest in ("cores", "group_cores", "chips", "stages"):
+    for dest in _POSITIVE_FLAGS:
         value = getattr(args, dest)
-        if value is not None and value < 1:
-            parser.error(f"--{dest.replace('_', '-')} must be >= 1, got {value}")
+        if value is not None and value <= 0:
+            bound = ">= 1" if isinstance(value, int) else "> 0"
+            parser.error(f"--{dest.replace('_', '-')} must be {bound}, got {value}")
+    if args.batch_size is None:
+        args.batch_size = 4
+    elif args.scheduler != "batch":
+        parser.error(
+            f"--batch-size requires --scheduler batch (--scheduler "
+            f"{args.scheduler} never reads it)"
+        )
     if args.search_stages and (args.chips == 1 or args.sweep):
         parser.error("--search-stages requires --chips > 1 and a single run")
     if args.stages is not None and args.sweep:
@@ -409,25 +412,8 @@ def main(argv: list[str] | None = None) -> int:
             f"--stages {args.stages} does not tile --chips {args.chips}"
         )
 
-    traced = bool(args.trace or args.perfetto)
-    if traced:
-        obs.enable_tracing()
-        obs.enable_noc_profiling()
-        obs.enable_timeseries(window_cycles=args.ts_window)
-    try:
+    with telemetry(args, window_cycles=args.ts_window):
         status = _run_sweep(args) if args.sweep else _run_single(args)
-    finally:
-        if traced:
-            if args.trace:
-                path = obs.export_trace(args.trace)
-                print(f"[trace written to {path}]")
-            if args.perfetto:
-                path = obs.export_perfetto(args.perfetto)
-                print(f"[perfetto trace written to {path}]")
-            obs.disable_tracing()
-            obs.disable_noc_profiling()
-            obs.disable_timeseries()
-            obs.clear_timeseries()
     if args.metrics:
         print(obs.METRICS.render())
     return status

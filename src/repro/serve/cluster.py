@@ -49,7 +49,7 @@ from ..obs import METRICS, span
 from ..partition.plan import ModelParallelPlan
 from ..partition.structure import build_structure_plan
 from ..partition.traditional import build_traditional_plan
-from ..sim.engine import InferenceSimulator, SimConfig
+from ..sim.engine import InferenceSimulator
 
 __all__ = [
     "Cluster",
@@ -62,23 +62,19 @@ __all__ = [
 ]
 
 
-#: (model, scheme, cores, per-layer plan, sim knobs) -> one-stage service.  A
-#: layer enters the key as its spec, its per-core workloads and its traffic
-#: bytes — everything the engine reads of it — so two plans share an entry
-#: only when the engine would time them identically.
+#: (model, scheme, cores, per-layer plan) -> one-stage service.  A layer
+#: enters the key as its spec, its per-core workloads and its traffic bytes —
+#: everything the engine reads of it — so two plans share an entry only when
+#: the engine would time them identically.
 _SERVICE_MEMO: dict[tuple, PipelineService] = {}
 
 
 def clear_service_memo() -> None:
-    """Drop memoized plan services (tests, or after changing engine knobs)."""
+    """Drop memoized plan services (tests)."""
     _SERVICE_MEMO.clear()
 
 
-def service_for_plan(
-    plan: ModelParallelPlan,
-    sim_config: SimConfig | None = None,
-    model: str | None = None,
-) -> PipelineService:
+def service_for_plan(plan: ModelParallelPlan, model: str | None = None) -> PipelineService:
     """Simulate ``plan`` once (memoized) and return its one-stage service.
 
     The stage is everything after the input load, so a batch of ``k``
@@ -88,7 +84,6 @@ def service_for_plan(
     name when the plan's own name carries a transformation suffix (e.g.
     grouped specs).
     """
-    cfg = sim_config or SimConfig()
     name = model or plan.name
     key = (
         name,
@@ -98,9 +93,6 @@ def service_for_plan(
             (lp.layer, tuple(lp.core_workloads), lp.traffic.bytes_matrix.tobytes())
             for lp in plan.layers
         ),
-        cfg.comm_mode,
-        cfg.max_cycle_sim_flits,
-        cfg.include_input_load,
     )
     hit = key in _SERVICE_MEMO
     METRICS.inc("serve.plan_sim.hit" if hit else "serve.plan_sim.miss")
@@ -109,7 +101,7 @@ def service_for_plan(
         with span(
             "serve.plan_sim", model=name, scheme=plan.scheme, cores=plan.num_cores
         ):
-            result = InferenceSimulator(chip, cfg).simulate(plan)
+            result = InferenceSimulator(chip).simulate(plan)
         _SERVICE_MEMO[key] = PipelineService(
             model=name,
             scheme=plan.scheme,
@@ -255,12 +247,11 @@ def build_spec_cluster(
     total_cores: int,
     group_cores: int,
     scheme: str = "traditional",
-    sim_config: SimConfig | None = None,
     memory_channels: int | None = None,
 ) -> Cluster:
     """Cluster serving one network from its spec under a geometry-only scheme."""
     plan = build_replica_plan(spec, group_cores, scheme)
-    svc = service_for_plan(plan, sim_config=sim_config, model=spec.name)
+    svc = service_for_plan(plan, model=spec.name)
     return Cluster(
         total_cores=total_cores,
         group_cores=group_cores,
@@ -277,7 +268,6 @@ def build_mcm_cluster(
     stages: int | None = None,
     scheme: str = "traditional",
     link: InterChipLink | None = None,
-    sim_config: SimConfig | None = None,
     memory_channels: int | None = None,
     stage_split: str = "balanced",
 ) -> Cluster:
@@ -300,11 +290,11 @@ def build_mcm_cluster(
         # Lazy: repro.search imports repro.serve helpers at call time.
         from ..search import search_stage_split
 
-        result = search_stage_split(spec, topology, scheme, sim_config=sim_config)
+        result = search_stage_split(spec, topology, scheme)
         plan, svc = result.plan, result.service
     elif stage_split == "balanced":
         plan = build_mcm_plan(spec, topology, scheme)
-        svc = mcm_service(plan, sim_config=sim_config, model=spec.name)
+        svc = mcm_service(plan, model=spec.name)
     else:
         raise ValueError(
             f"stage_split must be 'balanced' or 'searched', got {stage_split!r}"

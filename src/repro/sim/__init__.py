@@ -1,4 +1,4 @@
-"""End-to-end inference simulation: compute + NoC + (optional) DRAM."""
+"""End-to-end inference simulation: DRAM input load + NoC drains + compute."""
 
 from .engine import InferenceSimulator, SimConfig
 from .results import LayerTimeline, SimulationResult

@@ -10,16 +10,17 @@ Combines the three hardware models:
 * the DRAM fetch of the network input before the first layer.  Weights are
   resident: the paper's latency model streams none (see DESIGN.md).
 
-Communication simulation modes
-------------------------------
-``cycle``        exact cycle-level simulation of the full burst;
-``scaled-cycle`` for very large bursts: the traffic matrix is scaled down to
-                 a configurable flit budget, simulated, and the drain time
-                 extrapolated linearly in load above the zero-load latency
-                 (drain time of a fixed pattern is bandwidth-limited, hence
-                 ~linear in volume; tests check the extrapolation error);
-``analytical``   closed-form bound only (used when cycle accuracy is not
-                 needed, e.g. quick sweeps).
+Communication: cycle-exact or scaled-cycle
+------------------------------------------
+A burst of at most ``SimConfig.max_cycle_sim_flits`` flits drains through
+the cycle-level simulator exactly (``cycle``).  A larger burst drains
+``scaled-cycle``: its traffic matrix is scaled down to the flit budget,
+simulated, and the drain time extrapolated linearly in load above the
+zero-load head latency of :func:`~repro.noc.analytical.estimate_drain_cycles`
+(drain time of a fixed pattern is bandwidth-limited, hence ~linear in
+volume; tests check the extrapolation error).  Forcing cycle-exact drains is
+a larger budget.  The closed-form estimate alone is the search's cost model,
+:func:`repro.plancost.analytic_plan_cost`, not an engine setting.
 
 Drain-time memoization
 ----------------------
@@ -31,10 +32,10 @@ are therefore memoized persistently via :mod:`repro.experiments.cache`
 exact traffic matrix, every :class:`~repro.noc.packet.NoCConfig` field, and
 the mesh shape, so any change to the network or the traffic invalidates the
 entry.  Corrupt or truncated entries fall back to fresh simulation, exactly
-like ``load_state``.  Disable with ``SimConfig(comm_cache=False)``.
-:func:`memoized_drain` is the one path through the memo: the engine's
-cycle-level drains and the NoC ablations (``repro.experiments.ablations``)
-both drain through it.
+like ``load_state``; a run that needs cold drains points
+``$REPRO_CACHE_DIR`` at an empty directory.  :func:`memoized_drain` is the
+one path through the memo: the engine's cycle-level drains and the NoC
+ablations (``repro.experiments.ablations``) both drain through it.
 
 The returned :class:`~repro.sim.results.SimulationResult` reports how many
 drains were served from the memo vs simulated (``drain_memo_hits`` /
@@ -60,7 +61,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ..accel.chip import ChipConfig
-from ..noc.analytical import AnalyticalEstimate, estimate_drain_cycles
+from ..noc.analytical import estimate_drain_cycles
 from ..obs import METRICS, nocprof, span
 from ..noc.energy import EnergyBreakdown
 from ..noc.network import EnergyEvents, NoCSimulator, NoCStats
@@ -75,7 +76,6 @@ __all__ = [
     "InferenceSimulator",
     "drain_memo_key",
     "memoized_drain",
-    "memoized_drain_estimate",
     "input_load_cycles",
 ]
 
@@ -104,9 +104,6 @@ _ENERGY_FIELDS = (
     "sa_arbitrations",
 )
 
-#: Fields of an AnalyticalEstimate persisted next to cycle-exact results.
-_ANALYTICAL_FIELDS = ("source_bound", "sink_bound", "link_bound", "head_latency")
-
 
 def drain_memo_key(mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix) -> str:
     """Persistent cache key for one burst's cycle-level drain result.
@@ -127,58 +124,6 @@ def drain_memo_key(mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix) -> str:
             "traffic_sha": traffic_sha,
         },
     )
-
-
-def _parse_analytical(raw: object) -> AnalyticalEstimate | None:
-    """Validated ``analytical`` sub-entry of a memo record, or None."""
-    if not isinstance(raw, dict):
-        return None
-    try:
-        fields = {f: raw[f] for f in _ANALYTICAL_FIELDS}
-    except KeyError:
-        return None
-    if any(not isinstance(v, int) for v in fields.values()):
-        return None
-    return AnalyticalEstimate(**fields)
-
-
-def _merge_drain_entry(key: str, updates: dict) -> None:
-    """Merge ``updates`` into the persistent memo entry at ``key``.
-
-    Cycle-exact and analytical results land in the same entry regardless of
-    which was computed first; a read-modify-write keeps whichever half is
-    already present (the values are deterministic, so a concurrent writer
-    merging the same key produces the same bytes).
-    """
-    data = _cache().load_json(key)
-    if not isinstance(data, dict):
-        data = {}
-    data.update(updates)
-    _cache().save_json(key, data)
-
-
-def memoized_drain_estimate(
-    mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix, key: str | None = None
-) -> AnalyticalEstimate:
-    """Analytical drain estimate, persisted alongside cycle-exact results.
-
-    Repeated searches and calibration sampling hit the same layer-transition
-    bursts over and over; the estimate is stored in the burst's drain-memo
-    entry (under ``"analytical"``, next to the cycle-level ``"cycles"`` when
-    one exists) so neither side is ever recomputed.  Entries written before
-    this field existed simply miss once and are upgraded in place.
-    """
-    key = key or drain_memo_key(mesh, noc, traffic)
-    est = _parse_analytical((_cache().load_json(key) or {}).get("analytical"))
-    if est is not None:
-        METRICS.inc("cache.drain_analytical.hit")
-        return est
-    METRICS.inc("cache.drain_analytical.miss")
-    est = estimate_drain_cycles(traffic, mesh, noc)
-    _merge_drain_entry(
-        key, {"analytical": {f: getattr(est, f) for f in _ANALYTICAL_FIELDS}}
-    )
-    return est
 
 
 def input_load_cycles(chip: ChipConfig, in_shape: tuple[int, ...]) -> int:
@@ -204,21 +149,15 @@ def input_load_cycles(chip: ChipConfig, in_shape: tuple[int, ...]) -> int:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Engine options."""
+    """Engine options: the flit budget of a cycle-exact drain.
 
-    comm_mode: str = "auto"  # auto | cycle | analytical
+    A burst of at most ``max_cycle_sim_flits`` flits drains cycle-exact; a
+    larger one drains scaled-cycle (see the module docstring).
+    """
+
     max_cycle_sim_flits: int = 60_000
-    # Charge the scheme-independent cost of fetching the input image from
-    # DRAM and broadcasting it to all cores before the first layer.
-    include_input_load: bool = True
-    # Memoize cycle-level drain results persistently (see module docstring).
-    comm_cache: bool = True
 
     def __post_init__(self) -> None:
-        if self.comm_mode not in ("auto", "cycle", "analytical"):
-            raise ValueError(
-                f"comm_mode must be auto|cycle|analytical, got {self.comm_mode!r}"
-            )
         if self.max_cycle_sim_flits < 1000:
             raise ValueError("max_cycle_sim_flits unrealistically small")
 
@@ -243,17 +182,16 @@ class InferenceSimulator:
             )
         self._memo_hits = 0
         self._memo_misses = 0
-        if self.config.comm_cache:
-            # Register both sides of the hit rate so snapshots always show it.
-            METRICS.inc("cache.drain_memo.hit", 0)
-            METRICS.inc("cache.drain_memo.miss", 0)
+        # Register both sides of the hit rate so snapshots always show it.
+        METRICS.inc("cache.drain_memo.hit", 0)
+        METRICS.inc("cache.drain_memo.miss", 0)
         result = SimulationResult(
             model_name=plan.name, scheme=plan.scheme, num_cores=plan.num_cores
         )
         with span(
             "sim.simulate", model=plan.name, scheme=plan.scheme, cores=plan.num_cores
         ) as sp:
-            if self.config.include_input_load and plan.layers:
+            if plan.layers:
                 cycles, energy = self._input_load(plan.layers[0])
                 result.input_load_cycles = cycles
                 result.input_load_energy_j = energy
@@ -325,84 +263,66 @@ class InferenceSimulator:
             return 0, 0, EnergyBreakdown(0, 0, 0, 0), "none"
 
         total_flits = int(message_flits(traffic.bytes_matrix, cfg).sum())
-        mode = self.config.comm_mode
-        if mode == "auto":
-            mode = "cycle" if total_flits <= self.config.max_cycle_sim_flits else "scaled-cycle"
-
-        if mode == "cycle":
+        budget = self.config.max_cycle_sim_flits
+        if total_flits <= budget:
             noc_cycles, flit_hops, energy = self._cycle_sim(traffic)
             return noc_cycles * cfg.core_clock_divider, flit_hops, energy, "cycle"
 
-        if mode == "analytical":
-            noc_cycles = self._drain_estimate(traffic).cycles
-        else:
-            # scaled-cycle: simulate a scaled pattern and extrapolate linearly
-            # in load above the zero-load head latency.
-            scale = self.config.max_cycle_sim_flits / total_flits
-            scaled_cycles, _, _ = self._cycle_sim(traffic.scaled(scale))
-            head = self._drain_estimate(traffic).head_latency
-            noc_cycles = int(max(0, scaled_cycles - head) / scale) + head
+        # scaled-cycle: simulate a scaled pattern and extrapolate linearly in
+        # load above the zero-load head latency.
+        scale = budget / total_flits
+        scaled_cycles, _, _ = self._cycle_sim(traffic.scaled(scale))
+        head = estimate_drain_cycles(traffic, chip.mesh, cfg).head_latency
+        noc_cycles = int(max(0, scaled_cycles - head) / scale) + head
         # Energy and flit-hops follow the real traffic exactly (analytical
         # accounting).
         energy = chip.noc_energy.analytical_energy(traffic, chip.mesh, cfg)
         flit_hops = traffic.total_flit_hops(chip.mesh, cfg)
-        return noc_cycles * cfg.core_clock_divider, flit_hops, energy, mode
-
-    def _drain_estimate(self, traffic: TrafficMatrix) -> AnalyticalEstimate:
-        """Analytical estimate for one burst, memoized when comm_cache is on."""
-        chip = self.chip
-        if self.config.comm_cache:
-            return memoized_drain_estimate(chip.mesh, chip.noc, traffic)
-        return estimate_drain_cycles(traffic, chip.mesh, chip.noc)
+        return noc_cycles * cfg.core_clock_divider, flit_hops, energy, "scaled-cycle"
 
     def _cycle_sim(self, traffic: TrafficMatrix) -> tuple[int, int, EnergyBreakdown]:
         chip = self.chip
-        memo = self.config.comm_cache
-        stats, hit = memoized_drain(chip.mesh, chip.noc, traffic, memo=memo)
-        if memo:
-            if hit:
-                self._memo_hits += 1
-            else:
-                self._memo_misses += 1
+        stats, hit = memoized_drain(chip.mesh, chip.noc, traffic)
+        if hit:
+            self._memo_hits += 1
+        else:
+            self._memo_misses += 1
         energy = chip.noc_energy.simulation_energy(stats, chip.mesh.num_nodes)
         return stats.cycles, stats.flit_hops, energy
 
 
 def memoized_drain(
-    mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix, memo: bool = True
+    mesh: Mesh2D, noc: NoCConfig, traffic: TrafficMatrix
 ) -> tuple[NoCStats, bool]:
     """Cycle-level drain of one burst, read from the drain memo when it can be.
 
     Returns the drain's stats and whether they came from the memo.  A memo
     entry holds only the drain time, flit-hops and energy events, so a hit's
-    packet counts and latencies read zero.  ``memo=False`` always simulates
-    and writes nothing.  A profiled drain needs the cycle-level run for its
-    per-link counts, so memo reads are bypassed while NoC profiling is on
-    (entries are still written; the returned numbers are identical either
-    way).
+    packet counts and latencies read zero.  A profiled drain needs the
+    cycle-level run for its per-link counts, so memo reads are bypassed while
+    NoC profiling is on (entries are still written; the returned numbers are
+    identical either way).
     """
     profiling = nocprof.noc_profiling_enabled()
-    key = None
-    if memo:
-        key = drain_memo_key(mesh, noc, traffic)
-        entry = None if profiling else _load_drain_memo(key)
-        if entry is not None:
-            cycles, flit_hops, events = entry
-            METRICS.inc("cache.drain_memo.hit")
-            METRICS.inc("sim.drain_cycles", cycles)
-            with span("sim.drain", cached=True) as sp:
-                sp.set(cycles=cycles, flit_hops=flit_hops)
-            stats = NoCStats(
-                cycles=cycles,
-                packets_delivered=0,
-                flits_delivered=0,
-                flit_hops=flit_hops,
-                avg_packet_latency=0.0,
-                max_packet_latency=0,
-                energy=events,
-            )
-            return stats, True
-        METRICS.inc("cache.drain_memo.miss")
+    key = drain_memo_key(mesh, noc, traffic)
+    entry = None if profiling else _load_drain_memo(key)
+    if entry is not None:
+        cycles, flit_hops, events = entry
+        METRICS.inc("cache.drain_memo.hit")
+        METRICS.inc("sim.drain_cycles", cycles)
+        with span("sim.drain", cached=True) as sp:
+            sp.set(cycles=cycles, flit_hops=flit_hops)
+        stats = NoCStats(
+            cycles=cycles,
+            packets_delivered=0,
+            flits_delivered=0,
+            flit_hops=flit_hops,
+            avg_packet_latency=0.0,
+            max_packet_latency=0,
+            energy=events,
+        )
+        return stats, True
+    METRICS.inc("cache.drain_memo.miss")
 
     profile = nocprof.global_profile(mesh.width, mesh.height) if profiling else None
     with span("sim.drain", cached=False) as sp:
@@ -411,20 +331,14 @@ def memoized_drain(
         stats = sim.run()
         sp.set(cycles=stats.cycles, flit_hops=stats.flit_hops)
     METRICS.inc("sim.drain_cycles", stats.cycles)
-    if key is not None:
-        # The analytical estimate rides along in the same entry (cheap to
-        # compute next to a cycle-level run, and it saves calibration
-        # sampling a recompute later — see memoized_drain_estimate).
-        est = estimate_drain_cycles(traffic, mesh, noc)
-        _merge_drain_entry(
-            key,
-            {
-                "cycles": stats.cycles,
-                "flit_hops": stats.flit_hops,
-                "energy": {f: getattr(stats.energy, f) for f in _ENERGY_FIELDS},
-                "analytical": {f: getattr(est, f) for f in _ANALYTICAL_FIELDS},
-            },
-        )
+    _cache().save_json(
+        key,
+        {
+            "cycles": stats.cycles,
+            "flit_hops": stats.flit_hops,
+            "energy": {f: getattr(stats.energy, f) for f in _ENERGY_FIELDS},
+        },
+    )
     return stats, False
 
 

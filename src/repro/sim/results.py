@@ -25,7 +25,7 @@ class LayerTimeline:
     flit_hops: int
     noc_energy: EnergyBreakdown
     compute_energy_j: float
-    comm_mode: str  # "cycle" | "scaled-cycle" | "analytical" | "none"
+    comm_mode: str  # drain path: "cycle" | "scaled-cycle" | "none"
 
     @property
     def total_cycles(self) -> int:
@@ -46,9 +46,8 @@ class SimulationResult:
     input_load_cycles: int = 0
     input_load_energy_j: float = 0.0
     # Drain-time memo accounting: cycle-level drains served from the
-    # persistent memo vs actually simulated.  Both stay 0 when the memo is
-    # disabled (SimConfig(comm_cache=False)) or no drain needed cycle
-    # simulation.
+    # persistent memo vs actually simulated.  Both stay 0 when no layer
+    # moves traffic.
     drain_memo_hits: int = 0
     drain_memo_misses: int = 0
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.config import FAST
 from repro.experiments.runner import EXPERIMENTS, run_one
-from repro.experiments.table_search import render_table_search, run_table_search
+from repro.experiments.table_search import run_table_search
 
 
 @pytest.fixture(autouse=True)

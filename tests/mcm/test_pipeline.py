@@ -15,7 +15,7 @@ from repro.mcm.pipeline import stage_subspec
 from repro.models import get_spec, lenet_spec, vgg19_spec
 from repro.models.spec import LayerSpec
 from repro.partition import build_traditional_plan
-from repro.sim import InferenceSimulator, SimConfig
+from repro.sim import InferenceSimulator
 
 
 def fake_layers(macs_list):
@@ -69,9 +69,9 @@ def one_core_chips(num_cores: int) -> McmTopology:
 
 
 def single_pass(spec, num_cores: int = 16):
-    """The layer pipeline's service, input load excluded (as the ablation)."""
+    """The layer pipeline's service (the ablation reads its ``body_cycles``)."""
     plan = build_mcm_plan(spec, one_core_chips(num_cores))
-    return mcm_service(plan, SimConfig(include_input_load=False))
+    return mcm_service(plan)
 
 
 class TestLayerPipelineOnOneCoreChips:
@@ -114,14 +114,13 @@ class TestLayerPipelineOnOneCoreChips:
         chip = ChipConfig.table2(16)
         for network in ("lenet", "alexnet"):
             spec = get_spec(network)
-            result = InferenceSimulator(
-                chip, SimConfig(include_input_load=False)
-            ).simulate(build_traditional_plan(spec, 16))
-            assert single_pass(spec).latency_cycles > result.total_cycles
+            result = InferenceSimulator(chip).simulate(build_traditional_plan(spec, 16))
+            body = result.total_cycles - result.input_load_cycles
+            assert single_pass(spec).body_cycles > body
 
     def test_steady_interval_at_most_latency(self):
         svc = single_pass(get_spec("convnet"))
-        assert svc.interval_cycles <= svc.latency_cycles
+        assert svc.interval_cycles <= svc.body_cycles
 
 
 class TestBuildMcmPlan:

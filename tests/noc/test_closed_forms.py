@@ -99,7 +99,7 @@ def test_engine_flit_total(burst):
     chip = ChipConfig(num_cores=mesh.num_nodes, mesh=mesh, noc=config)
 
     def mode(budget: int) -> str:
-        sim = InferenceSimulator(chip, SimConfig(max_cycle_sim_flits=budget, comm_cache=False))
+        sim = InferenceSimulator(chip, SimConfig(max_cycle_sim_flits=budget))
         return sim._communication(tm)[3]
 
     assert mode(total) == "cycle"

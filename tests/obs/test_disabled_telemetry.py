@@ -17,7 +17,7 @@ from repro.obs import NoCProfile, ServeTimeSeries, Span
 from repro.partition import build_traditional_plan
 from repro.serve import PoissonWorkload, ServeSimulator, build_mcm_cluster, build_spec_cluster
 from repro.serve.scheduler import make_scheduler
-from repro.sim.engine import InferenceSimulator, SimConfig
+from repro.sim.engine import InferenceSimulator
 
 RECORDERS = (Span, NoCProfile, ServeTimeSeries)
 
@@ -35,11 +35,15 @@ def recorders_forbidden(monkeypatch):
         monkeypatch.setattr(cls, "__init__", forbidden)
 
 
+@pytest.fixture
+def cold_drains(tmp_path, monkeypatch):
+    """An empty drain memo, so every burst drains cycle by cycle."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+
 def _drain_lenet_plan():
-    """Every layer burst of a lenet plan, drained cycle by cycle (memo off)."""
-    sim = InferenceSimulator(
-        ChipConfig.table2(16), SimConfig(comm_mode="cycle", comm_cache=False)
-    )
+    """Every layer burst of a lenet plan, through the engine's drain memo."""
+    sim = InferenceSimulator(ChipConfig.table2(16))
     return sim.simulate(build_traditional_plan(lenet_spec(), 16))
 
 
@@ -48,8 +52,10 @@ def _serve(cluster, fastpath: str):
     return ServeSimulator(cluster, make_scheduler("fifo"), workload, fastpath=fastpath).run()
 
 
-def test_noc_burst_drains():
-    assert _drain_lenet_plan().comm_cycles > 0
+def test_noc_burst_drains(cold_drains):
+    result = _drain_lenet_plan()
+    assert result.comm_cycles > 0
+    assert result.drain_memo_misses > 0 and result.drain_memo_hits == 0
 
 
 def test_object_loop_serve():
@@ -70,7 +76,7 @@ def test_pipelined_mcm_serve():
     assert result.num_requests == 200
 
 
-def test_guard_fires_once_enabled():
+def test_guard_fires_once_enabled(cold_drains):
     """The guard is live: turning each recorder on reaches its constructor."""
     obs.enable_tracing()
     with pytest.raises(AssertionError, match="Span"):

@@ -86,16 +86,17 @@ class TestSnapshotAndReset:
 class TestDeterminism:
     """Identical simulations produce identical counter snapshots."""
 
-    def test_two_identical_runs_match(self, chip16):
+    def test_two_identical_runs_match(self, chip16, tmp_path, monkeypatch):
         plan = build_traditional_plan(get_spec("lenet"), 16)
 
-        def run():
+        def run(cache_dir: str):
+            monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache_dir))  # cold drains
             METRICS.reset()
-            InferenceSimulator(chip16, SimConfig(comm_cache=False)).simulate(plan)
+            InferenceSimulator(chip16, SimConfig()).simulate(plan)
             return METRICS.snapshot()
 
-        first = run()
-        second = run()
+        first = run("first")
+        second = run("second")
         assert first == second
         assert first["counters"]["sim.drain_cycles"] > 0
         assert first["counters"]["noc.runs{engine=event}"] > 0

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.models.spec import LayerSpec
 from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
 from repro.partition import (
     build_degree_plan,

@@ -1,4 +1,4 @@
-"""The oracle's exactness contract: cost == engine analytical mode, always."""
+"""The oracle's exactness contract: cost == the scalar analytic model, always."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,17 @@ import pytest
 from repro.accel import ChipConfig
 from repro.models.zoo import alexnet_spec, convnet_spec, lenet_spec
 from repro.partition import build_degree_plan, build_traditional_plan, with_groups
-from repro.plancost import PlanCostOracle, analytic_plan_cost, candidate_degrees
+from repro.plancost import (
+    PlanCostOracle,
+    analytic_layer_cycles,
+    analytic_plan_cost,
+    candidate_degrees,
+)
 from repro.plancost.calibrate import sample_degree_configs
 from repro.serve.cluster import default_group_map
-from repro.sim.engine import InferenceSimulator, SimConfig
+from repro.sim.engine import input_load_cycles
 
-
-def _analytic_sim(num_cores: int) -> InferenceSimulator:
-    return InferenceSimulator(
-        ChipConfig.table2(num_cores),
-        SimConfig(comm_mode="analytical", comm_cache=False),
-    )
+from .plan_reference import reference_plan_cycles
 
 
 class TestCandidateDegrees:
@@ -54,22 +54,18 @@ _EXACTNESS_CASES = [
 class TestOracleExactness:
     @pytest.mark.parametrize("spec_fn, num_cores, grouped", _EXACTNESS_CASES)
     def test_cost_equals_engine_analytical(self, spec_fn, num_cores, grouped):
-        """Every sampled config: oracle cost == engine analytical-mode cycles."""
+        """Every sampled config: oracle cost == the scalar reference's cycles."""
         spec = _grouped(spec_fn, num_cores) if grouped else spec_fn()
         oracle = PlanCostOracle(spec, num_cores)
-        sim = _analytic_sim(num_cores)
         for config in sample_degree_configs(oracle, k=6, seed=3):
             plan = build_degree_plan(spec, num_cores, config)
-            engine = sim.simulate(plan).total_cycles
-            assert oracle.cost(config) == engine
+            assert oracle.cost(config) == reference_plan_cycles(plan)
 
     def test_all_cores_config_matches_traditional_plan(self):
         spec = convnet_spec()
         oracle = PlanCostOracle(spec, 16)
         config = tuple([16] * oracle.num_layers)
-        sim = _analytic_sim(16)
-        engine = sim.simulate(build_traditional_plan(spec, 16)).total_cycles
-        assert oracle.cost(config) == engine
+        assert oracle.cost(config) == reference_plan_cycles(build_traditional_plan(spec, 16))
 
     def test_batch_cost_matches_scalar_cost(self):
         oracle = PlanCostOracle(lenet_spec(), 16)
@@ -91,12 +87,14 @@ class TestOracleExactness:
         assert oracle.cost(tuple(config)) == np.inf
 
     def test_input_load_excluded_when_asked(self):
+        """The input load is one separable term: cost minus it is the layers'."""
         spec = lenet_spec()
-        with_load = PlanCostOracle(spec, 16)
-        without = PlanCostOracle(spec, 16, include_input_load=False)
-        config = tuple([16] * with_load.num_layers)
-        assert with_load.cost(config) - without.cost(config) == with_load.input_load
-        assert without.input_load == 0
+        oracle = PlanCostOracle(spec, 16)
+        config = tuple([16] * oracle.num_layers)
+        body = analytic_layer_cycles(build_degree_plan(spec, 16, config)).sum()
+        assert oracle.cost(config) - oracle.input_load == body
+        assert oracle.input_load == input_load_cycles(oracle.chip, oracle.layers[0].in_shape)
+        assert oracle.input_load > 0
 
     def test_chip_core_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -119,13 +117,14 @@ class TestAnalyticPlanCost:
         "spec_fn", [lenet_spec, convnet_spec], ids=lambda f: f.__name__
     )
     def test_matches_engine_analytical(self, spec_fn, num_cores):
-        spec = spec_fn()
-        plan = build_traditional_plan(spec, num_cores)
-        engine = _analytic_sim(num_cores).simulate(plan).total_cycles
-        assert analytic_plan_cost(plan) == engine
+        plan = build_traditional_plan(spec_fn(), num_cores)
+        assert analytic_plan_cost(plan) == reference_plan_cycles(plan)
 
     def test_without_input_load(self):
         plan = build_traditional_plan(lenet_spec(), 16)
         full = analytic_plan_cost(plan)
-        body = analytic_plan_cost(plan, include_input_load=False)
+        body = int(analytic_layer_cycles(plan).sum())
         assert 0 < body < full
+        assert full - body == input_load_cycles(
+            ChipConfig.table2(16), plan.layers[0].layer.in_shape
+        )

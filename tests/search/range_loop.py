@@ -2,9 +2,10 @@
 
 The loop :func:`repro.search.search_stage_split` used before one sub-plan
 per start layer served every range: each range ``[i, j)`` planned from its
-own sub-spec and costed with :func:`~repro.plancost.analytic_plan_cost`
-(property-tested equal to the engine's analytical mode).
-``test_stagedp.py`` holds the search's range costs equal to it.
+own sub-spec and costed as the sum of its
+:func:`~repro.plancost.analytic_layer_cycles` (the analytic plan cost
+without the input load).  ``test_stagedp.py`` holds the search's range
+costs equal to it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from repro.mcm.pipeline import stage_subspec
 from repro.mcm.topology import McmTopology
 from repro.models.spec import NetworkSpec
-from repro.plancost import analytic_plan_cost
+from repro.plancost import analytic_layer_cycles
 from repro.serve.cluster import build_replica_plan
 
 
@@ -30,6 +31,6 @@ def loop_range_costs(
         for j in range(i + 1, len(layers) + 1):
             sub = stage_subspec(spec, i, layers[i:j])
             plan = build_replica_plan(sub, topology.cores_per_chip, scheme)
-            body = analytic_plan_cost(plan, chip=chip, include_input_load=False)
+            body = int(analytic_layer_cycles(plan, chip=chip).sum())
             costs[i, j] = float(body) + transfer
     return costs

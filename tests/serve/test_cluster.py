@@ -193,30 +193,31 @@ class TestCapacity:
 
 class TestDeploymentPoles:
     """§I on a 16-core chip's two poles: one 16-core group (model
-    parallelism) against sixteen one-core groups (data parallelism)."""
+    parallelism) against sixteen one-core groups (data parallelism).  The
+    QoS and datacenter arguments compare the poles' work beyond the input
+    load, their services' ``body_cycles``."""
 
     @pytest.fixture(scope="class")
     def poles(self):
-        cfg = SimConfig(include_input_load=False)
         return (
-            build_spec_cluster(lenet_spec(), 16, 16, sim_config=cfg),
-            build_spec_cluster(lenet_spec(), 16, 1, sim_config=cfg),
+            build_spec_cluster(lenet_spec(), 16, 16),
+            build_spec_cluster(lenet_spec(), 16, 1),
         )
 
     def test_model_parallel_wins_latency(self, poles):
         """The paper's QoS argument: cooperating cores answer sooner."""
-        model_parallel, data_parallel = poles
-        assert data_parallel.unloaded_latency("lenet") > model_parallel.unloaded_latency(
-            "lenet"
-        )
+        model_parallel, data_parallel = (c.service("lenet") for c in poles)
+        assert data_parallel.body_cycles > model_parallel.body_cycles
 
     def test_data_parallel_wins_throughput(self, poles):
         """And the datacenter argument: independent inferences deliver more
         total work because no cycles go to synchronization."""
+
+        def body_rate(cluster):
+            return cluster.num_groups * 1e6 / cluster.service("lenet").body_cycles
+
         model_parallel, data_parallel = poles
-        assert data_parallel.capacity_per_megacycle(
-            "lenet"
-        ) > model_parallel.capacity_per_megacycle("lenet")
+        assert body_rate(data_parallel) > body_rate(model_parallel)
 
     def test_one_stage_capacity_is_groups_over_latency(self, poles):
         model_parallel, data_parallel = poles
@@ -228,8 +229,10 @@ class TestDeploymentPoles:
         )
 
     def test_both_poles_charge_the_input_load_alike(self, poles):
-        """The comparison stays apples to apples: each pole pays the input
-        load iff the engine charges it."""
-        for lean, group in zip(poles, (16, 1)):
-            full = build_spec_cluster(lenet_spec(), 16, group)
-            assert full.unloaded_latency("lenet") > lean.unloaded_latency("lenet")
+        """The comparison stays apples to apples: both poles pay the same
+        input load on top of their body cycles."""
+        model_parallel, data_parallel = (c.service("lenet") for c in poles)
+        assert model_parallel.input_load_cycles == data_parallel.input_load_cycles > 0
+        for cluster in poles:
+            svc = cluster.service("lenet")
+            assert cluster.unloaded_latency("lenet") == svc.body_cycles + svc.input_load_cycles

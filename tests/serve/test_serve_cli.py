@@ -72,14 +72,40 @@ class TestSingleRun:
             ["--cores", "8", "--group-cores", "0"],
             ["--cores", "8", "--group-cores", "-4"],
             ["--chips", "4", "--stages", "0"],
+            ["--memory-channels", "0"],
+            ["--requests", "0"],
+            ["--rate", "0"],
+            ["--workload", "mmpp", "--burst-rate", "0"],
+            ["--workload", "closed", "--clients", "0"],
+            ["--workload", "closed", "--think", "-5"],
+            ["--scheduler", "batch", "--batch-size", "0"],
+            ["--slo-factor", "0"],
+            ["--trace", "t.jsonl", "--ts-window", "0"],
         ],
-        ids=["cores-0", "group-cores-0", "group-cores-neg", "stages-0"],
+        ids=["cores-0", "group-cores-0", "group-cores-neg", "stages-0",
+             "memory-channels-0", "requests-0", "rate-0", "burst-rate-0",
+             "clients-0", "think-neg", "batch-size-0", "slo-factor-0", "ts-window-0"],
     )
-    def test_rejects_nonpositive_geometry(self, flags, capsys):
+    def test_rejects_nonpositive_geometry(self, flags, tmp_path, monkeypatch, capsys):
+        """A parser error, not a library traceback (``--workload closed
+        --clients 0`` divided by zero)."""
+        monkeypatch.chdir(tmp_path)  # a run that slips through writes no trace here
         with pytest.raises(SystemExit) as exc:
             main(["--network", "lenet", "--requests", "5", *flags])
         assert exc.value.code == 2
-        assert f"{flags[-2]} must be >= 1" in capsys.readouterr().err
+        real = flags[-2] in ("--rate", "--burst-rate", "--think", "--slo-factor")
+        bound = "> 0" if real else ">= 1"
+        assert f"{flags[-2]} must be {bound}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--sweep", "--profile", "fast"]],
+                             ids=["single", "sweep"])
+    def test_batch_size_requires_batch_scheduler(self, mode, capsys):
+        """FIFO never batches: a single run printed the same output with
+        ``--batch-size 9`` as without it."""
+        with pytest.raises(SystemExit) as exc:
+            main([*mode, "--batch-size", "9"])
+        assert exc.value.code == 2
+        assert "--batch-size requires --scheduler batch" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "workload, flag",

@@ -57,18 +57,20 @@ class TestWarmRuns:
         monkeypatch.setattr(engine_mod, "NoCSimulator", boom)
         sim.simulate(plan)  # served entirely from the memo
 
-    def test_memo_matches_uncached(self, cache_dir, chip16, plan):
+    def test_memo_matches_uncached(self, cache_dir, chip16, plan, monkeypatch):
         cached = InferenceSimulator(chip16, SimConfig()).simulate(plan)
         warm = InferenceSimulator(chip16, SimConfig()).simulate(plan)
-        uncached = InferenceSimulator(
-            chip16, SimConfig(comm_cache=False)
-        ).simulate(plan)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir / "fresh"))
+        uncached = InferenceSimulator(chip16, SimConfig()).simulate(plan)
+        assert uncached.drain_memo_hits == 0
         assert timeline_numbers(cached) == timeline_numbers(uncached)
         assert timeline_numbers(warm) == timeline_numbers(uncached)
 
-    def test_disabled_cache_writes_nothing(self, cache_dir, chip16, plan):
-        InferenceSimulator(chip16, SimConfig(comm_cache=False)).simulate(plan)
-        assert not list(cache_dir.glob("noc-drain-*.json"))
+    def test_entry_holds_the_drain_only(self, cache_dir, chip16, plan):
+        """A cold drain writes its cycles, flit-hops and energy events."""
+        InferenceSimulator(chip16, SimConfig()).simulate(plan)
+        for path in cache_dir.glob("noc-drain-*.json"):
+            assert set(json.loads(path.read_text())) == {"cycles", "flit_hops", "energy"}
 
 
 class TestMemoCounters:
@@ -88,12 +90,6 @@ class TestMemoCounters:
         assert warm.drain_memo_hits == cold.drain_memo_misses
         assert warm.drain_memo_hit_rate == 1.0
 
-    def test_disabled_cache_counts_nothing(self, cache_dir, chip16, plan):
-        result = InferenceSimulator(chip16, SimConfig(comm_cache=False)).simulate(plan)
-        assert result.drain_memo_hits == 0
-        assert result.drain_memo_misses == 0
-        assert result.drain_memo_hit_rate == 0.0
-
 
 class TestKeying:
     def test_key_is_deterministic(self, cache_dir):
@@ -102,6 +98,11 @@ class TestKeying:
         assert drain_memo_key(mesh, NoCConfig(), traffic) == drain_memo_key(
             mesh, NoCConfig(), traffic
         )
+
+    def test_key_is_pinned(self, cache_dir):
+        """Caches filled by earlier versions stay warm: the key never moves."""
+        traffic = uniform_random_traffic(16, 10_000, seed=5)
+        assert drain_memo_key(Mesh2D(4, 4), NoCConfig(), traffic) == "noc-drain-abbbf700891d"
 
     def test_every_noc_field_changes_key(self, cache_dir):
         mesh = Mesh2D(4, 4)
@@ -183,81 +184,28 @@ class TestCorruptEntries:
             data = json.loads(path.read_text())
             assert isinstance(data["cycles"], int)
 
+    def test_entry_with_extra_fields_still_hits(self, cache_dir, chip16, plan, monkeypatch):
+        """Entries that also carry an ``analytical`` estimate (the format
+        before the estimate memo went) are served without a drain."""
+        sim = InferenceSimulator(chip16, SimConfig())
+        cold = sim.simulate(plan)
+        for path in cache_dir.glob("noc-drain-*.json"):
+            data = json.loads(path.read_text())
+            data["analytical"] = {"source_bound": 1, "sink_bound": 1, "link_bound": 1,
+                                  "head_latency": 1}
+            path.write_text(json.dumps(data))
+        cache.clear_memo()
+
+        def boom(*args, **kwargs):  # pragma: no cover - guard
+            raise AssertionError("a hit must not construct a NoCSimulator")
+
+        monkeypatch.setattr(engine_mod, "NoCSimulator", boom)
+        warm = sim.simulate(plan)
+        assert warm.drain_memo_misses == 0
+        assert timeline_numbers(warm) == timeline_numbers(cold)
+
     def test_load_json_rejects_non_dict(self, cache_dir):
         cache.save_json("probe", {"x": 1})
         (cache_dir / "probe.json").write_text("[]")
         cache.clear_memo()
         assert cache.load_json("probe") is None
-
-
-class TestAnalyticalMemo:
-    """The memoized analytical estimate rides in the same drain entries."""
-
-    def test_estimate_matches_uncached(self, cache_dir, chip16):
-        from repro.noc import estimate_drain_cycles
-        from repro.sim.engine import memoized_drain_estimate
-
-        tm = uniform_random_traffic(16, 50_000, seed=5)
-        mesh, noc = Mesh2D(4, 4), NoCConfig()
-        got = memoized_drain_estimate(mesh, noc, tm)
-        assert got == estimate_drain_cycles(tm, mesh, noc)
-        # Second call is a pure cache read and returns the same estimate.
-        assert memoized_drain_estimate(mesh, noc, tm) == got
-
-    def test_estimate_stored_in_drain_entry(self, cache_dir):
-        from repro.sim.engine import memoized_drain_estimate
-
-        tm = uniform_random_traffic(16, 10_000, seed=6)
-        mesh, noc = Mesh2D(4, 4), NoCConfig()
-        est = memoized_drain_estimate(mesh, noc, tm)
-        key = drain_memo_key(mesh, noc, tm)
-        raw = json.loads(
-            next(cache_dir.glob(f"{key}.json")).read_text()
-        )["analytical"]
-        assert raw == {
-            "source_bound": est.source_bound,
-            "sink_bound": est.sink_bound,
-            "link_bound": est.link_bound,
-            "head_latency": est.head_latency,
-        }
-
-    def test_cycle_sim_writes_analytical_twin(self, cache_dir, chip16, plan):
-        """An engine cycle run leaves the analytical estimate in the memo."""
-        from repro.obs import METRICS
-
-        sim = InferenceSimulator(chip16, SimConfig())
-        sim.simulate(plan)
-        from repro.sim.engine import memoized_drain_estimate
-
-        burst = next(
-            lp.traffic for lp in plan.layers if lp.traffic.total_bytes > 0
-        )
-        before = METRICS.counter("cache.drain_analytical.hit")
-        memoized_drain_estimate(chip16.mesh, chip16.noc, burst)
-        assert METRICS.counter("cache.drain_analytical.hit") == before + 1
-
-    def test_legacy_entry_upgraded_in_place(self, cache_dir, chip16, plan):
-        """Entries written before the analytical field miss once, then hit."""
-        from repro.sim.engine import memoized_drain_estimate
-
-        tm = uniform_random_traffic(16, 20_000, seed=7)
-        mesh, noc = Mesh2D(4, 4), NoCConfig()
-        key = drain_memo_key(mesh, noc, tm)
-        # Fake a pre-upgrade cycle-only entry.
-        cache.save_json(key, {"cycles": 123, "flit_hops": 456})
-        est = memoized_drain_estimate(mesh, noc, tm)
-        data = cache.load_json(key)
-        assert data["cycles"] == 123 and data["flit_hops"] == 456
-        assert data["analytical"]["source_bound"] == est.source_bound
-
-    def test_corrupt_analytical_recomputed(self, cache_dir):
-        from repro.sim.engine import memoized_drain_estimate
-
-        tm = uniform_random_traffic(16, 20_000, seed=8)
-        mesh, noc = Mesh2D(4, 4), NoCConfig()
-        key = drain_memo_key(mesh, noc, tm)
-        cache.save_json(key, {"analytical": {"source_bound": "bad"}})
-        est = memoized_drain_estimate(mesh, noc, tm)
-        from repro.noc import estimate_drain_cycles
-
-        assert est == estimate_drain_cycles(tm, mesh, noc)

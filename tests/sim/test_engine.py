@@ -6,8 +6,10 @@ import pytest
 
 from repro.accel import ChipConfig
 from repro.models import lenet_spec, mlp_spec, table3_convnet_spec
+from repro.noc import estimate_drain_cycles
 from repro.partition import build_traditional_plan
 from repro.sim import InferenceSimulator, SimConfig
+from repro.sim.engine import input_load_cycles
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +24,6 @@ def mlp_plan():
 
 class TestSimConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SimConfig(comm_mode="magic")
         with pytest.raises(ValueError):
             SimConfig(max_cycle_sim_flits=10)
 
@@ -62,38 +62,35 @@ class TestBasicSimulation:
             InferenceSimulator(chip).simulate(plan)
 
     def test_input_load_toggle(self, chip, mlp_plan):
-        with_load = InferenceSimulator(chip, SimConfig()).simulate(mlp_plan)
-        without = InferenceSimulator(
-            chip, SimConfig(include_input_load=False)
-        ).simulate(mlp_plan)
-        assert with_load.input_load_cycles > 0
-        assert without.input_load_cycles == 0
-        assert with_load.total_cycles > without.total_cycles
+        """Every run charges the input load and reports it on its own."""
+        result = InferenceSimulator(chip).simulate(mlp_plan)
+        in_shape = mlp_plan.layers[0].layer.in_shape
+        assert result.input_load_cycles == input_load_cycles(chip, in_shape) > 0
+        assert result.total_cycles - result.input_load_cycles == sum(
+            l.total_cycles for l in result.layers
+        )
 
 
 class TestCommModes:
     def test_cycle_mode_used_for_small_traffic(self, chip, mlp_plan):
-        result = InferenceSimulator(chip, SimConfig(comm_mode="cycle")).simulate(mlp_plan)
+        result = InferenceSimulator(chip).simulate(mlp_plan)
         assert all(l.comm_mode in ("cycle", "none") for l in result.layers)
 
-    def test_analytical_mode(self, chip, mlp_plan):
-        result = InferenceSimulator(
-            chip, SimConfig(comm_mode="analytical")
-        ).simulate(mlp_plan)
-        assert any(l.comm_mode == "analytical" for l in result.layers)
-
     def test_analytical_close_to_cycle(self, chip, mlp_plan):
-        cyc = InferenceSimulator(chip, SimConfig(comm_mode="cycle")).simulate(mlp_plan)
-        ana = InferenceSimulator(chip, SimConfig(comm_mode="analytical")).simulate(mlp_plan)
-        assert 0.3 < ana.comm_cycles / cyc.comm_cycles < 3.0
+        """The closed-form drain estimate stays near the cycle-level drains."""
+        cyc = InferenceSimulator(chip).simulate(mlp_plan)
+        ana = chip.noc.core_clock_divider * sum(
+            estimate_drain_cycles(lp.traffic, chip.mesh, chip.noc).cycles
+            for lp in mlp_plan.layers
+        )
+        assert 0.3 < ana / cyc.comm_cycles < 3.0
 
     def test_scaled_cycle_extrapolation(self, chip):
         """Force scaling on a real burst; extrapolation within 2x of exact."""
         plan = build_traditional_plan(lenet_spec(), 16)
-        exact = InferenceSimulator(chip, SimConfig(comm_mode="cycle")).simulate(plan)
-        scaled = InferenceSimulator(
-            chip, SimConfig(comm_mode="auto", max_cycle_sim_flits=1000)
-        ).simulate(plan)
+        exact = InferenceSimulator(chip, SimConfig(max_cycle_sim_flits=10**9)).simulate(plan)
+        scaled = InferenceSimulator(chip, SimConfig(max_cycle_sim_flits=1000)).simulate(plan)
+        assert all(l.comm_mode in ("cycle", "none") for l in exact.layers)
         assert any(l.comm_mode == "scaled-cycle" for l in scaled.layers)
         assert 0.5 < scaled.comm_cycles / exact.comm_cycles < 2.0
 
@@ -102,8 +99,8 @@ class TestCommModes:
         chip1.noc = replace(chip1.noc, core_clock_divider=1)
         chip4 = ChipConfig.table2(16)
         chip4.noc = replace(chip4.noc, core_clock_divider=4)
-        c1 = InferenceSimulator(chip1, SimConfig(include_input_load=False)).simulate(mlp_plan)
-        c4 = InferenceSimulator(chip4, SimConfig(include_input_load=False)).simulate(mlp_plan)
+        c1 = InferenceSimulator(chip1).simulate(mlp_plan)
+        c4 = InferenceSimulator(chip4).simulate(mlp_plan)
         assert c4.comm_cycles == 4 * c1.comm_cycles
 
 

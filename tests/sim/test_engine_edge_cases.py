@@ -5,8 +5,9 @@ import pytest
 
 from repro.accel import ChipConfig
 from repro.models import get_spec, lenet_spec, mlp_spec, table3_convnet_spec
+from repro.noc import estimate_drain_cycles
 from repro.partition import build_traditional_plan
-from repro.sim import InferenceSimulator, SimConfig
+from repro.sim import InferenceSimulator
 
 
 class TestSingleCoreChip:
@@ -72,7 +73,8 @@ class TestCommModesLargeTraffic:
         chip = ChipConfig.table2(16)
         plan = build_traditional_plan(get_spec("vgg19"), 16)
         scaled = InferenceSimulator(chip).simulate(plan)
-        ana = InferenceSimulator(
-            chip, SimConfig(comm_mode="analytical")
-        ).simulate(plan)
-        assert 0.3 < scaled.comm_cycles / ana.comm_cycles < 4.0
+        ana = chip.noc.core_clock_divider * sum(
+            estimate_drain_cycles(lp.traffic, chip.mesh, chip.noc).cycles
+            for lp in plan.layers
+        )
+        assert 0.3 < scaled.comm_cycles / ana < 4.0

@@ -2,10 +2,11 @@
 
 Every flit count outside the cycle-level simulator is the closed form
 :func:`~repro.noc.packet.message_flits`, so the packet builder
-:func:`~repro.noc.packet.segment_message` must not run when a plan is
-simulated analytically, when every drain is served from the memo, or when a
-plan-cost oracle is built.  On a cold memo each drained burst is segmented
-exactly once: the packets injected are the only packets built.
+:func:`~repro.noc.packet.segment_message` must not run when every drain is
+served from the memo, when a plan is costed analytically
+(:func:`~repro.plancost.analytic_plan_cost`), or when a plan-cost oracle is
+built.  On a cold memo each drained burst is segmented exactly once: the
+packets injected are the only packets built.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from repro.models import get_spec
 from repro.noc import NoCSimulator, TrafficMatrix
 from repro.noc import packet as packet_mod
 from repro.partition import build_traditional_plan
-from repro.plancost import PlanCostOracle
-from repro.sim.engine import InferenceSimulator, SimConfig
+from repro.plancost import PlanCostOracle, analytic_plan_cost
+from repro.sim.engine import InferenceSimulator
 
 MODELS = ("lenet", "vgg19")
 
@@ -56,8 +57,8 @@ def injected(monkeypatch):
     return bursts
 
 
-def _simulate(name: str, mode: str):
-    sim = InferenceSimulator(ChipConfig.table2(16), SimConfig(comm_mode=mode))
+def _simulate(name: str):
+    sim = InferenceSimulator(ChipConfig.table2(16))
     return sim.simulate(build_traditional_plan(get_spec(name), 16))
 
 
@@ -70,21 +71,22 @@ def test_counter_is_live(segment_calls):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_analytical_mode_builds_no_packets(name, segment_calls):
-    result = _simulate(name, "analytical")
-    assert result.comm_cycles > 0
-    assert {t.comm_mode for t in result.layers[1:]} == {"analytical"}
+    """The closed-form plan cost drains every burst without a packet."""
+    plan = build_traditional_plan(get_spec(name), 16)
+    assert any(lp.traffic.total_bytes for lp in plan.layers[1:])
+    assert analytic_plan_cost(plan) > 0
     assert segment_calls == []
 
 
 @pytest.mark.parametrize("name", MODELS)
 def test_auto_mode_segments_only_drained_bursts(name, segment_calls, injected):
-    cold = _simulate(name, "auto")
+    cold = _simulate(name)
     assert cold.drain_memo_misses == len(injected) > 0
     # Each drained burst is segmented once, one call per message.
     assert sorted(segment_calls) == sorted(pair for burst in injected for pair in burst)
 
     segment_calls.clear()
-    warm = _simulate(name, "auto")
+    warm = _simulate(name)
     assert warm.drain_memo_misses == 0 and warm.drain_memo_hits > 0
     assert warm.total_cycles == cold.total_cycles
     assert segment_calls == []

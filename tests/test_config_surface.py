@@ -4,16 +4,22 @@
 (where artifacts live), and may write none.  Every other setting travels as
 an argument, so a call's behaviour is visible at the call site.  This walks
 the package's source with :mod:`ast` and lists every environment access.
+
+The inference engine has one setting, the flit budget of a cycle-exact
+drain: :class:`~repro.sim.engine.SimConfig` holds nothing else, and no
+function passes an engine configuration or an input-load switch along.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.sim.engine import SimConfig
 
 ALLOWED_READS = {"REPRO_CACHE_DIR"}
 
@@ -149,4 +155,38 @@ class TestPackage:
 
     def test_writes_no_environment_variable(self):
         offenders = {path: writes for path, (_, writes) in _package_accesses().items() if writes}
+        assert offenders == {}
+
+
+#: Parameters that would pass an engine setting around instead of fixing it.
+_ENGINE_KNOB_PARAMS = {"sim_config", "include_input_load"}
+
+
+def _knob_params(source: str) -> list[str]:
+    """``function:parameter`` for each engine-knob parameter a module declares."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
+                if arg.arg in _ENGINE_KNOB_PARAMS:
+                    found.append(f"{getattr(node, 'name', '<lambda>')}:{arg.arg}")
+    return found
+
+
+class TestEngineSettings:
+    def test_sim_config_holds_only_the_flit_budget(self):
+        assert tuple(f.name for f in dataclasses.fields(SimConfig)) == ("max_cycle_sim_flits",)
+
+    def test_scanner_finds_knob_parameters(self):
+        source = "def f(a, sim_config=None):\n    pass\ndef g(*, include_input_load=True): pass"
+        assert _knob_params(source) == ["f:sim_config", "g:include_input_load"]
+
+    def test_no_function_takes_an_engine_knob(self):
+        root = Path(repro.__file__).parent
+        offenders = {
+            str(path.relative_to(root.parent)): found
+            for path in sorted(root.rglob("*.py"))
+            if (found := _knob_params(path.read_text()))
+        }
         assert offenders == {}
