@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--requests", type=int, default=None,
-        help="open-loop request count (default: 200; single runs only)",
+        help="requests served (default: 200; closed-loop runs split them "
+        "evenly, so --clients must divide it; single runs only)",
     )
     parser.add_argument(
         "--clients", type=int, default=None,
@@ -232,10 +233,9 @@ def _build_workload(args: argparse.Namespace) -> LoadGenerator:
             seed=args.seed,
             mix=mix,
         )
-    per_client = max(1, args.requests // args.clients)
     return ClosedLoopWorkload(
         clients=args.clients,
-        requests_per_client=per_client,
+        requests_per_client=args.requests // args.clients,
         think_cycles=args.think,
         seed=args.seed,
         mix=mix,
@@ -387,6 +387,11 @@ def main(argv: list[str] | None = None) -> int:
             setattr(args, dest, default)
         elif not args.sweep:
             parser.error(f"--{dest} requires --sweep (a single run is one simulation)")
+    if not args.sweep and args.workload == "closed" and args.requests % args.clients:
+        parser.error(
+            f"--clients {args.clients} does not divide --requests {args.requests} "
+            "(every client issues the same number of requests)"
+        )
     apply_workers(args.workers)
     if args.ts_window is not None and not (args.trace or args.perfetto):
         parser.error("--ts-window requires --trace or --perfetto")

@@ -2,9 +2,9 @@
 
 The object loop in :mod:`repro.serve.simulator` spends most of a
 million-request sweep allocating: one ``Request`` per arrival, one heap
-tuple per event, one frozen ``RequestRecord`` per completion, and four
-registry transactions per request.  This module runs the *same* discrete
-event simulation over plain int64 columns instead:
+tuple per event and one frozen ``RequestRecord`` per completion.  This
+module runs the *same* discrete event simulation over plain int64 columns
+instead:
 
 * arrivals are an :class:`~repro.serve.workload.ArrivalColumns` block —
   a sorted int64 array consumed by cursor, never a heap entry;
@@ -15,9 +15,9 @@ event simulation over plain int64 columns instead:
   append one ``(lo, hi)`` range to the completion order, from which
   :meth:`~repro.serve.results.RecordColumns.materialize` reproduces the
   object loop's record list bit-exactly;
-* metrics are folded in at the end via
-  :meth:`~repro.obs.metrics.MetricsRegistry.observe_agg` — histograms
-  only track count/total/min/max, so batching is exact.
+* metrics are reduced from the columns at the end and folded in by
+  :func:`fold_run_metrics`, the object loop's own end-of-run fold —
+  histograms only track count/total/min/max, so batching is exact.
 
 **Bit-exactness contract** (pinned by ``tests/serve/test_fastpath.py``):
 a seeded workload produces the identical record list, latency
@@ -55,7 +55,7 @@ from .results import RecordColumns
 from .scheduler import IndexQueue, Scheduler
 from .workload import ArrivalColumns, LoadGenerator
 
-__all__ = ["fastpath_mode", "plan_columnar", "run_columnar"]
+__all__ = ["fastpath_mode", "fold_run_metrics", "plan_columnar", "run_columnar"]
 
 _MODES = ("auto", "off", "force")
 
@@ -65,6 +65,41 @@ def fastpath_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"fastpath must be one of {_MODES}, got {mode!r}")
     return mode
+
+
+def fold_run_metrics(
+    requests: int,
+    batch: tuple[int, int, int, int],
+    wait: tuple[int, int, int, int],
+    backpressure: tuple[int, int, int, int],
+    latency: tuple[int, int, int, int],
+    queue: tuple[int, int, int, int],
+) -> None:
+    """Fold one serving run's ``serve.*`` series into :data:`METRICS`.
+
+    Both event loops end every run with this call, one registry transaction
+    per series.  ``requests`` counts the arrivals; each histogram argument
+    is ``(count, total, min, max)`` of its observations, which is all a
+    histogram keeps, so the fold equals ``count`` single
+    :meth:`~repro.obs.metrics.MetricsRegistry.observe` calls bit for bit.
+    ``serve.dispatches`` is the batch-size count.
+    """
+    inc, observe_agg = METRICS.inc, METRICS.observe_agg
+    inc("serve.requests", requests)
+    if batch[0]:
+        inc("serve.dispatches", batch[0])
+    observe_agg("serve.batch_size", *batch)
+    observe_agg("serve.memory_channel.wait_cycles", *wait)
+    observe_agg("serve.pipeline.backpressure_cycles", *backpressure)
+    observe_agg("serve.latency_cycles", *latency)
+    observe_agg("serve.queue_cycles", *queue)
+
+
+def _column_stats(values: np.ndarray) -> tuple[int, int, int, int]:
+    """``(count, total, min, max)`` of an int64 column (zeros when empty)."""
+    if not len(values):
+        return 0, 0, 0, 0
+    return len(values), int(values.sum()), int(values.min()), int(values.max())
 
 
 class _Plan:
@@ -372,34 +407,21 @@ def _run_columnar(plan: _Plan, ts, busy_cycles: dict[int, int], feed_stages) -> 
         busy_cycles[g] = busy_l[g]
     order_lo_np = np.asarray(order_lo, dtype=np.int64)
     order_hi_np = np.asarray(order_hi, dtype=np.int64)
-
-    # One registry transaction per series — bit-identical to the object
-    # loop's per-event observes (histograms keep count/total/min/max only).
-    # Every dispatch completes before the loop exits, so the completion
-    # order *is* the dispatch log: one batch-size observation per range.
-    inc, observe_agg = METRICS.inc, METRICS.observe_agg
-    inc("serve.fastpath.runs")
-    inc("serve.requests", n)
-    dispatches = len(order_lo_np)
-    if dispatches:
-        inc("serve.dispatches", dispatches)
-        ks = order_hi_np - order_lo_np
-        observe_agg("serve.batch_size", dispatches, n, int(ks.min()), int(ks.max()))
-    observe_agg("serve.memory_channel.wait_cycles", cw_count, cw_total, cw_min, cw_max)
-    observe_agg("serve.pipeline.backpressure_cycles", bp_count, bp_total, bp_min, bp_max)
-
     cols = plan.cols
     start_np = np.frombuffer(start_c, dtype=np.int64)
     finish_np = np.frombuffer(finish_c, dtype=np.int64)
-    if n:
-        lat = finish_np - cols.arrival
-        observe_agg(
-            "serve.latency_cycles", n, int(lat.sum()), int(lat.min()), int(lat.max())
-        )
-        que = start_np - cols.arrival
-        observe_agg(
-            "serve.queue_cycles", n, int(que.sum()), int(que.min()), int(que.max())
-        )
+
+    # Every dispatch completes before the loop exits, so the completion
+    # order *is* the dispatch log: one batch-size observation per range.
+    METRICS.inc("serve.fastpath.runs")
+    fold_run_metrics(
+        requests=n,
+        batch=_column_stats(order_hi_np - order_lo_np),
+        wait=(cw_count, cw_total, cw_min, cw_max),
+        backpressure=(bp_count, bp_total, bp_min, bp_max),
+        latency=_column_stats(finish_np - cols.arrival),
+        queue=_column_stats(start_np - cols.arrival),
+    )
     return RecordColumns(
         arrival=cols.arrival,
         model_id=cols.model_id,

@@ -29,11 +29,16 @@ the queue are empty — open-loop generators produce a finite stream, and
 closed-loop generators a finite quota per client, so termination is
 structural rather than horizon-clipped.
 
-Observability: the run is wrapped in a ``serve.run`` span; arrivals,
-dispatches, and batch sizes feed :data:`repro.obs.METRICS`
-(``serve.requests``, ``serve.dispatches``, ``serve.latency_cycles`` ...).
-Per-request spans are deliberately not emitted — a serving sweep completes
-millions of requests, and the records themselves are the per-request truth.
+Observability: the run is wrapped in a ``serve.run`` span.  The loop keeps
+its counts and histogram aggregates (count/total/min/max) in locals and
+folds them into :data:`repro.obs.METRICS` once, when the run ends
+(:func:`~repro.serve.fastpath.fold_run_metrics`, shared with the columnar
+loop): ``serve.requests``, ``serve.dispatches``, ``serve.batch_size``,
+``serve.latency_cycles``, ``serve.queue_cycles``,
+``serve.memory_channel.wait_cycles`` and
+``serve.pipeline.backpressure_cycles``.  Per-request spans are deliberately
+not emitted — a serving sweep completes millions of requests, and the
+records themselves are the per-request truth.
 When time-series collection is on (:func:`repro.obs.timeseries_enabled`),
 the loop additionally feeds every arrival/dispatch/completion into a
 :class:`~repro.obs.timeseries.ServeTimeSeries` — including per-stage busy
@@ -46,11 +51,12 @@ cost is one ``is None`` branch per event and no series is built
 from __future__ import annotations
 
 import heapq
+import math
 
 from ..obs import METRICS, span
 from ..obs.timeseries import start_series, timeseries_enabled
 from .cluster import Cluster
-from .fastpath import fastpath_mode, plan_columnar, run_columnar
+from .fastpath import fastpath_mode, fold_run_metrics, plan_columnar, run_columnar
 from .results import RequestRecord, ServeResult
 from .scheduler import Scheduler
 from .slo import SLO, SLOReport, evaluate_slo
@@ -160,7 +166,6 @@ class ServeSimulator:
         # sweep, so global/attribute lookups are bound once here.  Pure
         # aliasing — the event sequence is bit-identical.
         heappush, heappop = heapq.heappush, heapq.heappop
-        inc, observe = METRICS.inc, METRICS.observe
         scheduler = self.scheduler
         get_service = self.cluster.service
         busy_cycles = result.busy_cycles
@@ -173,18 +178,37 @@ class ServeSimulator:
         # emits at most one completion per interval).
         last_finish: dict[int, int] = {}
 
+        # Run totals for the end-of-run metric fold: count, total, min and
+        # max per histogram.  Every observed value is a non-negative int, so
+        # the minima start at +inf and the maxima at 0.
+        arrived = 0
+        batches = batch_total = batch_max = 0
+        cw_count = cw_total = cw_max = 0
+        bp_count = bp_total = bp_max = 0
+        lat_total = lat_max = que_total = que_max = 0
+        batch_min = cw_min = bp_min = lat_min = que_min = math.inf
+
         def push(cycle: int, kind: int, payload: object) -> None:
             nonlocal seq
             heappush(events, (cycle, seq, kind, payload))
             seq += 1
 
         def dispatch(now: int) -> None:
+            nonlocal batches, batch_total, batch_min, batch_max
+            nonlocal cw_count, cw_total, cw_min, cw_max
+            nonlocal bp_count, bp_total, bp_min, bp_max
             while free and len(scheduler):
                 batch = scheduler.next_batch(now)
                 if not batch:
                     break
                 service = get_service(batch[0].model)
                 k = len(batch)
+                batches += 1
+                batch_total += k
+                if k < batch_min:
+                    batch_min = k
+                if k > batch_max:
+                    batch_max = k
                 wait = 0
                 if channels is not None and service.input_load_cycles > 0:
                     channel_free = heappop(channels)
@@ -192,7 +216,12 @@ class ServeSimulator:
                     wait = stream_start - now
                     heappush(channels, stream_start + service.input_load_cycles)
                     if wait:
-                        observe("serve.memory_channel.wait_cycles", wait)
+                        cw_count += 1
+                        cw_total += wait
+                        if wait < cw_min:
+                            cw_min = wait
+                        if wait > cw_max:
+                            cw_max = wait
                 replica = heappop(free)
                 finish = now + wait + service.batch_cycles(k)
                 interval = service.interval_cycles
@@ -200,15 +229,18 @@ class ServeSimulator:
                 if prev is not None and prev + k * interval > finish:
                     delay = prev + k * interval - finish
                     finish += delay
-                    observe("serve.pipeline.backpressure_cycles", delay)
+                    bp_count += 1
+                    bp_total += delay
+                    if delay < bp_min:
+                        bp_min = delay
+                    if delay > bp_max:
+                        bp_max = delay
                 else:
                     delay = 0
                 busy = wait + service.occupancy_cycles(k) + delay
                 last_finish[replica] = finish
                 release = now + busy
                 busy_cycles[replica] += busy
-                inc("serve.dispatches")
-                observe("serve.batch_size", k)
                 if ts is not None:
                     ts.on_dispatch(now, replica, busy, k)
                     if ts.stages:
@@ -234,7 +266,7 @@ class ServeSimulator:
                 _, _, kind, payload = heappop(events)
                 if kind == _ARRIVAL:
                     assert isinstance(payload, Request)
-                    inc("serve.requests")
+                    arrived += 1
                     if ts is not None:
                         ts.on_arrival(now)
                     enqueue(payload)
@@ -256,8 +288,18 @@ class ServeSimulator:
                             priority=request.priority,
                         )
                         records_append(record)
-                        observe("serve.latency_cycles", record.latency)
-                        observe("serve.queue_cycles", record.queue_cycles)
+                        latency = now - request.arrival
+                        lat_total += latency
+                        if latency < lat_min:
+                            lat_min = latency
+                        if latency > lat_max:
+                            lat_max = latency
+                        queued = started - request.arrival
+                        que_total += queued
+                        if queued < que_min:
+                            que_min = queued
+                        if queued > que_max:
+                            que_max = queued
                         if ts is not None:
                             ts.on_completion(
                                 record.rid, record.arrival, record.start,
@@ -267,6 +309,16 @@ class ServeSimulator:
                         if follow_up is not None:
                             push(follow_up.arrival, _ARRIVAL, follow_up)
             dispatch(now)
+
+        completed = len(result.records)
+        fold_run_metrics(
+            requests=arrived,
+            batch=(batches, batch_total, batch_min, batch_max),
+            wait=(cw_count, cw_total, cw_min, cw_max),
+            backpressure=(bp_count, bp_total, bp_min, bp_max),
+            latency=(completed, lat_total, lat_min, lat_max),
+            queue=(completed, que_total, que_min, que_max),
+        )
 
     @staticmethod
     def _feed_stage_intervals(ts, service, replica: int, start: int, k: int) -> None:

@@ -21,6 +21,7 @@ single-pass latencies of a few thousand to a few hundred thousand cycles.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -339,8 +340,15 @@ class ClosedLoopWorkload(LoadGenerator):
         self.requests_per_client = requests_per_client
         self.think_cycles = think_cycles
         self.seed = seed
-        self._names, self._probs = _normalized_mix(mix)
+        self._names, probs = _normalized_mix(mix)
+        # The CDF exactly as ``Generator.choice(names, p=probs)`` rebuilds it
+        # on every call: one uniform draw bisected on its right picks the
+        # same model and leaves the generator in the same state.
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf.tolist()
         self._rng = np.random.default_rng(seed)
+        # Client of each request in flight (at most ``clients`` entries).
         self._client_of: dict[int, int] = {}
         self._issued: dict[int, int] = {}
         self._next_rid = 0
@@ -350,7 +358,7 @@ class ClosedLoopWorkload(LoadGenerator):
         self._next_rid += 1
         self._client_of[rid] = client
         self._issued[client] = self._issued.get(client, 0) + 1
-        model = str(self._rng.choice(self._names, p=self._probs))
+        model = self._names[bisect_right(self._cdf, self._rng.random())]
         return Request(rid=rid, arrival=arrival, model=model)
 
     def initial(self) -> list[Request]:
@@ -365,7 +373,7 @@ class ClosedLoopWorkload(LoadGenerator):
         ]
 
     def on_completion(self, request: Request, finish_cycle: int) -> Request | None:
-        client = self._client_of.get(request.rid)
+        client = self._client_of.pop(request.rid, None)
         if client is None or self._issued[client] >= self.requests_per_client:
             return None
         think = int(max(1, self._rng.exponential(self.think_cycles)))

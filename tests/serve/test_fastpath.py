@@ -10,6 +10,9 @@ built-in scheduler, open-loop generator, cluster family (single-chip and
 pipelined MCM, with and without shared memory channels), and telemetry
 state, and asserts full equality.
 
+Both loops must also fold the same ``serve.*`` counters and histograms
+into :data:`~repro.obs.METRICS`.
+
 Eligibility is also pinned: closed-loop workloads and custom schedulers
 must fall back to the object loop under ``auto`` and raise under
 ``force``.  So are the makespans of three seeded streams of 100k to 1M
@@ -66,10 +69,25 @@ def _make_workload(gen: str, rate: float, n: int, seed: int):
     return MMPPWorkload(rate, 8 * rate, n, seed=seed, mix=mix)
 
 
+def _serve_metrics() -> dict:
+    """The ``serve.*`` counters and histograms in :data:`METRICS`, minus the
+    fast path's own ``serve.fastpath.*`` bookkeeping."""
+    snap = METRICS.snapshot()
+    return {
+        kind: {
+            key: value for key, value in snap[kind].items()
+            if key.startswith("serve.") and not key.startswith("serve.fastpath.")
+        }
+        for kind in ("counters", "histograms")
+    }
+
+
 def _run(cluster, scheduler_name: str, workload, fastpath: str, ts: bool):
-    """One simulation; returns (result, captured time-series records)."""
+    """One simulation; returns (result, captured time-series records, the
+    run's ``serve.*`` metrics)."""
     scheduler = make_scheduler(scheduler_name, max_batch=4)
     sim = ServeSimulator(cluster, scheduler, workload, fastpath=fastpath)
+    METRICS.reset()
     if ts:
         enable_timeseries()
     try:
@@ -78,7 +96,7 @@ def _run(cluster, scheduler_name: str, workload, fastpath: str, ts: bool):
     finally:
         disable_timeseries()
         clear_timeseries()
-    return result, series
+    return result, series, _serve_metrics()
 
 
 @settings(max_examples=40, deadline=None)
@@ -93,10 +111,10 @@ def _run(cluster, scheduler_name: str, workload, fastpath: str, ts: bool):
 )
 def test_fastpath_matches_object_loop(kind, scheduler, gen, rate, n, seed, ts):
     cluster = _cluster(kind)
-    fast, fast_series = _run(
+    fast, fast_series, fast_metrics = _run(
         cluster, scheduler, _make_workload(gen, rate, n, seed), "force", ts
     )
-    ref, ref_series = _run(
+    ref, ref_series, ref_metrics = _run(
         cluster, scheduler, _make_workload(gen, rate, n, seed), "off", ts
     )
     assert fast.columns is not None and ref.columns is None  # distinct loops
@@ -114,6 +132,10 @@ def test_fastpath_matches_object_loop(kind, scheduler, gen, rate, n, seed, ts):
     # Full time-series equality — windows, per-replica depth, and the
     # cumulative block all derive from the same event stream.
     assert fast_series == ref_series
+
+    # Both loops fold the same serve.* counters and histograms.
+    assert fast_metrics == ref_metrics
+    assert fast_metrics["counters"]["serve.requests"] == n
 
 
 @pytest.mark.parametrize(

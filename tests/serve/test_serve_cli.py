@@ -43,10 +43,11 @@ class TestSingleRun:
     def test_closed_loop(self, capsys):
         assert main(
             ["--network", "lenet", "--cores", "4", "--group-cores", "2",
-             "--workload", "closed", "--clients", "3", "--requests", "4",
+             "--workload", "closed", "--clients", "3", "--requests", "6",
              "--think", "5000"]
         ) == 0
         out = capsys.readouterr().out
+        assert ": 6 requests in" in out  # every requested request is served
         assert "SLO report" in out
         assert "replica utilization" in out
 
@@ -66,36 +67,38 @@ class TestSingleRun:
             main(["--cores", "16", "--group-cores", "3"])
 
     @pytest.mark.parametrize(
-        "flags",
+        "flags, error",
         [
-            ["--cores", "0"],
-            ["--cores", "8", "--group-cores", "0"],
-            ["--cores", "8", "--group-cores", "-4"],
-            ["--chips", "4", "--stages", "0"],
-            ["--memory-channels", "0"],
-            ["--requests", "0"],
-            ["--rate", "0"],
-            ["--workload", "mmpp", "--burst-rate", "0"],
-            ["--workload", "closed", "--clients", "0"],
-            ["--workload", "closed", "--think", "-5"],
-            ["--scheduler", "batch", "--batch-size", "0"],
-            ["--slo-factor", "0"],
-            ["--trace", "t.jsonl", "--ts-window", "0"],
+            (["--cores", "0"], "--cores must be >= 1"),
+            (["--cores", "8", "--group-cores", "0"], "--group-cores must be >= 1"),
+            (["--cores", "8", "--group-cores", "-4"], "--group-cores must be >= 1"),
+            (["--chips", "4", "--stages", "0"], "--stages must be >= 1"),
+            (["--memory-channels", "0"], "--memory-channels must be >= 1"),
+            (["--requests", "0"], "--requests must be >= 1"),
+            (["--rate", "0"], "--rate must be > 0"),
+            (["--workload", "mmpp", "--burst-rate", "0"], "--burst-rate must be > 0"),
+            (["--workload", "closed", "--clients", "0"], "--clients must be >= 1"),
+            (["--workload", "closed", "--think", "-5"], "--think must be > 0"),
+            (["--scheduler", "batch", "--batch-size", "0"], "--batch-size must be >= 1"),
+            (["--slo-factor", "0"], "--slo-factor must be > 0"),
+            (["--trace", "t.jsonl", "--ts-window", "0"], "--ts-window must be >= 1"),
+            (["--workload", "closed", "--clients", "3"],
+             "--clients 3 does not divide --requests 5"),
         ],
         ids=["cores-0", "group-cores-0", "group-cores-neg", "stages-0",
              "memory-channels-0", "requests-0", "rate-0", "burst-rate-0",
-             "clients-0", "think-neg", "batch-size-0", "slo-factor-0", "ts-window-0"],
+             "clients-0", "think-neg", "batch-size-0", "slo-factor-0", "ts-window-0",
+             "clients-not-dividing-requests"],
     )
-    def test_rejects_nonpositive_geometry(self, flags, tmp_path, monkeypatch, capsys):
+    def test_rejects_nonpositive_geometry(self, flags, error, tmp_path, monkeypatch, capsys):
         """A parser error, not a library traceback (``--workload closed
-        --clients 0`` divided by zero)."""
+        --clients 0`` divided by zero) or a silently rounded request count
+        (``--clients 3 --requests 5`` served 3)."""
         monkeypatch.chdir(tmp_path)  # a run that slips through writes no trace here
         with pytest.raises(SystemExit) as exc:
             main(["--network", "lenet", "--requests", "5", *flags])
         assert exc.value.code == 2
-        real = flags[-2] in ("--rate", "--burst-rate", "--think", "--slo-factor")
-        bound = "> 0" if real else ">= 1"
-        assert f"{flags[-2]} must be {bound}" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", [[], ["--sweep", "--profile", "fast"]],
                              ids=["single", "sweep"])

@@ -7,9 +7,9 @@ import json
 import pytest
 
 from repro.models import lenet_spec
-from repro.obs import clear_timeseries, disable_timeseries, enable_timeseries
+from repro.obs import METRICS, clear_timeseries, disable_timeseries, enable_timeseries
 from repro.obs.metrics import percentile
-from repro.serve.cluster import Cluster, build_spec_cluster
+from repro.serve.cluster import Cluster, build_mcm_cluster, build_spec_cluster
 from repro.serve.scheduler import BatchingScheduler, FIFOScheduler, make_scheduler
 from repro.serve.simulator import ServeSimulator, simulate_serving
 from repro.serve.slo import SLO
@@ -139,6 +139,39 @@ class TestClosedLoop:
         result = ServeSimulator(cluster, FIFOScheduler(), workload).run()
         assert result.num_requests == 40
         assert result.throughput_per_megacycle <= 1e6 / latency + 1
+
+    def test_run_metrics_fold_matches_records(self):
+        """Closed-loop clients batching onto two 4-chip pipelines that share
+        one DRAM channel: the serve.* series folded at the end of the run
+        equal what the records say, and the memory-channel wait and
+        backpressure series keep the values per-event observes gave."""
+        cluster = build_mcm_cluster(lenet_spec(), 8, stages=4, memory_channels=1)
+        workload = ClosedLoopWorkload(
+            clients=8, requests_per_client=10, think_cycles=500.0, seed=4,
+            mix={"lenet": 1.0},
+        )
+        METRICS.reset()
+        result = ServeSimulator(cluster, make_scheduler("batch", max_batch=3), workload).run()
+        snap = METRICS.snapshot()
+        hists = {
+            name: (h["count"], h["total"], h["min"], h["max"])
+            for name, h in snap["histograms"].items()
+        }
+
+        def stats(values):
+            return len(values), sum(values), min(values), max(values)
+
+        records = result.records
+        # A replica starts at most one batch per cycle.
+        batches = {(r.replica, r.start): r.batch_size for r in records}
+        assert snap["counters"]["serve.requests"] == len(records) == 80
+        assert snap["counters"]["serve.dispatches"] == len(batches)
+        assert hists["serve.batch_size"] == stats(list(batches.values()))
+        assert hists["serve.latency_cycles"] == stats([r.latency for r in records])
+        assert hists["serve.queue_cycles"] == stats([r.queue_cycles for r in records])
+        assert hists["serve.memory_channel.wait_cycles"] == (4, 331, 6, 218)
+        assert hists["serve.pipeline.backpressure_cycles"] == (50, 67602, 405, 1641)
+        assert len(batches) == 55 and max(batches.values()) == 3
 
 
 def _records_digest(records) -> str:

@@ -1,5 +1,7 @@
 """Seeded determinism and distributional sanity of the load generators."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,23 @@ from repro.serve.workload import (
     PoissonWorkload,
     Request,
 )
+
+from .closed_loop_reference import ChoiceClosedLoopWorkload
+
+
+def _drive(workload: ClosedLoopWorkload) -> list[Request]:
+    """Every request of a full closed-loop run: ``initial()``, then each
+    request completes 1000 cycles after it arrives, oldest first, until
+    every client's quota is spent."""
+    issued = workload.initial()
+    pending = deque(issued)
+    while pending:
+        request = pending.popleft()
+        follow_up = workload.on_completion(request, request.arrival + 1000)
+        if follow_up is not None:
+            issued.append(follow_up)
+            pending.append(follow_up)
+    return issued
 
 
 class TestPoisson:
@@ -108,3 +127,28 @@ class TestClosedLoop:
         w.initial()
         stray = Request(rid=999, arrival=1)
         assert w.on_completion(stray, finish_cycle=10) is None
+
+    def test_completed_requests_leave_the_in_flight_map(self):
+        """The rid -> client map holds requests in flight only, at most one
+        per client, rather than every request the run issued."""
+        w = ClosedLoopWorkload(clients=4, requests_per_client=6, seed=3)
+        assert len(_drive(w)) == 24
+        assert w._client_of == {}
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    @pytest.mark.parametrize(
+        "mix",
+        [{"lenet": 1.0}, {"lenet": 0.7, "convnet": 0.3}, {"a": 2.0, "b": 0.0, "c": 5.0}],
+        ids=["one-model", "two-models", "unnormalized-with-zero"],
+    )
+    def test_model_draw_matches_generator_choice(self, mix, seed):
+        """Bisecting one uniform draw on the mix's CDF is the reference
+        ``Generator.choice`` draw: the same requests, and the same generator
+        state once the run is over."""
+        kwargs = dict(clients=5, requests_per_client=40, think_cycles=1e4, seed=seed, mix=mix)
+        fast, ref = ClosedLoopWorkload(**kwargs), ChoiceClosedLoopWorkload(**kwargs)
+        requests = _drive(fast)
+        assert requests == _drive(ref)
+        assert fast._rng.bit_generator.state == ref._rng.bit_generator.state
+        assert len(requests) == 200
+        assert {r.model for r in requests} == {m for m, w in mix.items() if w > 0}
